@@ -9,16 +9,16 @@
 //!   into the sender's intake. On connection loss it redials with capped
 //!   exponential backoff, re-handshakes, and resends every retained frame
 //!   from the receiver's cursor (`Welcome.next_seq`) — resend-from-ack on
-//!   session re-establishment;
+//!   session re-establishment, written straight to the new connection;
 //! * the **acceptor** (receiver side) owns the process's single data
 //!   listener, routes each inbound connection to its edge by the opening
 //!   [`DistFrame::EdgeHello`], answers with the edge cursor, and forwards
 //!   in-order frames into the node's intake. A per-edge [`EdgeCursor`]
-//!   (a reorder buffer plus an event count) survives connection
-//!   replacement, so duplicates from overlapping replays or a zombie
-//!   sender are dropped exactly once and the consumed-event count stays
-//!   exact — it is the source of truth for a restarted sender's resend
-//!   suppression.
+//!   (a reorder buffer plus the output-id frontier of what it delivered)
+//!   survives connection replacement, so duplicates from overlapping
+//!   replays or a zombie sender are dropped exactly once, and the
+//!   frontier tells a restarted sender which regenerated outputs are
+//!   already downstream.
 //!
 //! The acceptor also implements the distributed nemesis faults: a
 //! listener *blackhole* (new connections dropped, existing ones severed)
@@ -51,25 +51,26 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 const DRAIN_POLL: Duration = Duration::from_millis(20);
 
 /// The receiver-side cursor of one edge: in-order delivery position plus
-/// the cumulative count of data events consumed in order. Mirrors the
-/// node's reorder buffer so `Welcome{next_seq, events_received}` reports
-/// exactly what a restarted sender must suppress.
+/// the output-id frontier — one past the id sequence of the last data
+/// event delivered in order. Mirrors the node's reorder buffer so
+/// `Welcome{next_seq, frontier}` tells a restarted sender exactly which
+/// of its regenerated outputs are already downstream.
 pub(crate) struct EdgeCursor {
     rb: ReorderBuffer,
-    events: u64,
+    frontier: u64,
     scratch: Vec<(u64, Message)>,
 }
 
 impl EdgeCursor {
-    /// A cursor resuming at link sequence `seq` — the respawn case, primed
-    /// from the worker's persisted checkpoint so a reconnecting upstream
-    /// is asked to replay from the checkpoint position instead of 0
-    /// (everything below was acked away and is unreplayable; asking for it
-    /// parks the retained suffix behind a gap that can never fill). The
-    /// event count is primed to `seq` too: on unbatched edges frames carry
-    /// one event each, and only a *freshly restarted* sender consults it.
-    pub fn starting_at(seq: u64) -> EdgeCursor {
-        EdgeCursor { rb: ReorderBuffer::new(seq), events: seq, scratch: Vec::new() }
+    /// A cursor resuming at link sequence `seq` with output-id frontier
+    /// `frontier`. A respawn primes both from the worker's persisted
+    /// checkpoint: a reconnecting upstream is asked to replay from the
+    /// checkpoint position instead of 0 (everything below was acked away
+    /// and is unreplayable; asking for it parks the retained suffix behind
+    /// a gap that can never fill), and a *freshly restarted* upstream
+    /// suppresses exactly the outputs the checkpoint consumed.
+    pub fn starting_at(seq: u64, frontier: u64) -> EdgeCursor {
+        EdgeCursor { rb: ReorderBuffer::new(seq), frontier, scratch: Vec::new() }
     }
 
     /// Next expected link sequence.
@@ -77,9 +78,9 @@ impl EdgeCursor {
         self.rb.next_seq()
     }
 
-    /// Data events consumed in order so far.
-    pub fn events(&self) -> u64 {
-        self.events
+    /// One past the id sequence of the last data event delivered in order.
+    pub fn frontier(&self) -> u64 {
+        self.frontier
     }
 
     /// Offers a frame; returns the frames that became deliverable in
@@ -90,7 +91,14 @@ impl EdgeCursor {
         self.scratch.clear();
         self.rb.offer_into(seq, msg, &mut self.scratch);
         for (_, m) in &self.scratch {
-            self.events += m.event_count() as u64;
+            let last = match m {
+                Message::Data(e) => Some(e),
+                Message::DataBatch(events) => events.last(),
+                Message::Control(_) => None,
+            };
+            if let Some(e) = last {
+                self.frontier = e.id.seq + 1;
+            }
         }
         &self.scratch
     }
@@ -109,16 +117,16 @@ pub(crate) struct OutBridge {
     pub addr: Arc<Mutex<Option<String>>>,
     /// The retained local link's consumer side.
     pub data_rx: LinkReceiver<Message>,
-    /// Re-injects retained frames `>= from` into the local link
-    /// (resend-from-ack after reconnect).
-    pub replay: Box<dyn Fn(u64) -> usize + Send + Sync>,
+    /// The link's retained frames with sequence `>= from` (resend-from-ack
+    /// after reconnect).
+    pub retained: Box<dyn Fn(u64) -> Vec<(u64, Message)> + Send + Sync>,
     /// Where received control frames (acks, replay requests) go.
     pub ctrl_sink: Box<dyn Fn(Control) + Send + Sync>,
     pub metrics: TransportMetrics,
     pub shutdown: Arc<AtomicBool>,
-    /// Receives `(next_seq, events_received)` from the **first**
-    /// successful handshake — a freshly started sender applies it to its
-    /// link counters before the node runs.
+    /// Receives `(next_seq, frontier)` from the **first** successful
+    /// handshake — a freshly started sender applies it to its link and
+    /// edge frontier before the node runs.
     pub first_welcome: Option<crossbeam_channel::Sender<(u64, u64)>>,
 }
 
@@ -139,26 +147,29 @@ impl OutBridge {
                 std::thread::sleep(Duration::from_millis(5));
                 continue;
             };
-            let Some((next_seq, events_received, conn)) = self.handshake(&addr) else {
+            let Some((next_seq, frontier, conn)) = self.handshake(&addr) else {
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(RECONNECT_CAP);
                 continue;
             };
             backoff = RECONNECT_BASE;
             self.metrics.handshakes.incr();
+            let mut resend = Vec::new();
             if connected_before {
                 self.metrics.reconnects.incr();
                 // Session re-establishment: resend every retained frame
                 // the receiver has not consumed. Frames lost with the old
                 // socket (or consumed from the local link but never
                 // written) are all covered — they are retained until
-                // acked.
-                (self.replay)(next_seq);
+                // acked. They go straight onto the socket: a link replay
+                // stops at its credit reserve, stranding the rest behind a
+                // gap only the acceptor sees.
+                resend = (self.retained)(next_seq);
             } else if let Some(gate) = self.first_welcome.take() {
-                let _ = gate.send((next_seq, events_received));
+                let _ = gate.send((next_seq, frontier));
             }
             connected_before = true;
-            self.pump(conn);
+            self.pump(conn, resend);
         }
     }
 
@@ -172,8 +183,8 @@ impl OutBridge {
         loop {
             match conn.recv() {
                 Ok(bytes) => match decode_from_slice::<DistFrame>(&bytes) {
-                    Ok(DistFrame::Welcome { next_seq, events_received }) => {
-                        return Some((next_seq, events_received, conn));
+                    Ok(DistFrame::Welcome { next_seq, frontier }) => {
+                        return Some((next_seq, frontier, conn));
                     }
                     _ => return None,
                 },
@@ -187,10 +198,11 @@ impl OutBridge {
         }
     }
 
-    /// Drives one established connection: this thread writes data frames,
-    /// a scoped helper thread reads control frames. Returns when the
-    /// connection dies (either direction) or shutdown is requested.
-    fn pump(&self, conn: Box<dyn streammine_net::FrameConn>) {
+    /// Drives one established connection: this thread writes `resend`,
+    /// then the link's data frames; a scoped helper thread reads control
+    /// frames. Returns when the connection dies (either direction) or
+    /// shutdown is requested.
+    fn pump(&self, conn: Box<dyn streammine_net::FrameConn>, resend: Vec<(u64, Message)>) {
         let (mut tx, mut rx) = conn.split();
         let dead = Arc::new(AtomicBool::new(false));
         std::thread::scope(|s| {
@@ -218,6 +230,7 @@ impl OutBridge {
                     }
                 }
             });
+            let mut resend = resend.into_iter();
             loop {
                 if self.shutdown.load(Ordering::Acquire) {
                     dead.store(true, Ordering::Release);
@@ -226,25 +239,27 @@ impl OutBridge {
                 if dead.load(Ordering::Acquire) {
                     break;
                 }
-                match self.data_rx.recv_timeout(DRAIN_POLL) {
-                    Ok((seq, msg)) => {
-                        let bytes = DistFrame::Data { seq, msg }.encode_to_vec();
-                        match tx.send(&bytes) {
-                            Ok(()) => {
-                                self.metrics.frames_out.incr();
-                                self.metrics.bytes_out.add(bytes.len() as u64);
-                            }
-                            Err(_) => {
-                                // The frame stays retained in the link; the
-                                // next handshake's replay re-sends it.
-                                dead.store(true, Ordering::Release);
-                                break;
-                            }
+                let (seq, msg) = match resend.next() {
+                    Some(frame) => frame,
+                    None => match self.data_rx.recv_timeout(DRAIN_POLL) {
+                        Ok(frame) => frame,
+                        Err(LinkError::Timeout) => continue,
+                        Err(_) => {
+                            // Local sender gone: the process is shutting down.
+                            dead.store(true, Ordering::Release);
+                            break;
                         }
+                    },
+                };
+                let bytes = DistFrame::Data { seq, msg }.encode_to_vec();
+                match tx.send(&bytes) {
+                    Ok(()) => {
+                        self.metrics.frames_out.incr();
+                        self.metrics.bytes_out.add(bytes.len() as u64);
                     }
-                    Err(LinkError::Timeout) => continue,
                     Err(_) => {
-                        // Local sender gone: the process is shutting down.
+                        // The frame stays retained in the link; the next
+                        // handshake's resend covers it.
                         dead.store(true, Ordering::Release);
                         break;
                     }
@@ -280,6 +295,9 @@ pub(crate) struct InEdge {
     /// reconnecting sender with anything smaller would park the retained
     /// suffix behind a gap that can never fill.
     pub start: u64,
+    /// Output-id frontier this edge resumes at — 0 for a fresh worker, the
+    /// checkpoint's input frontier for a respawn.
+    pub frontier: u64,
     pub metrics: TransportMetrics,
 }
 
@@ -323,7 +341,7 @@ impl Acceptor {
         let mut pumps = Vec::new();
         for e in edges {
             let state = Arc::new(EdgeState {
-                cursor: Mutex::new(EdgeCursor::starting_at(e.start)),
+                cursor: Mutex::new(EdgeCursor::starting_at(e.start, e.frontier)),
                 deliver: e.deliver,
                 writer: Mutex::new(None),
                 pause_until: Mutex::new(None),
@@ -358,10 +376,10 @@ impl Acceptor {
         &self.local_addr
     }
 
-    /// The cursor of one edge: `(next_seq, events_received)`.
+    /// The cursor of one edge: `(next_seq, frontier)`.
     pub fn cursor(&self, edge: u32) -> (u64, u64) {
         let c = self.shared.edges[&edge].cursor.lock();
-        (c.next_seq(), c.events())
+        (c.next_seq(), c.frontier())
     }
 
     /// Nemesis: drop new connections and sever existing ones for `window`.
@@ -438,7 +456,7 @@ fn serve_conn(mut conn: Box<dyn streammine_net::FrameConn>, shared: Arc<Acceptor
     let Some(state) = shared.edges.get(&edge).cloned() else { return };
     let welcome = {
         let c = state.cursor.lock();
-        DistFrame::Welcome { next_seq: c.next_seq(), events_received: c.events() }
+        DistFrame::Welcome { next_seq: c.next_seq(), frontier: c.frontier() }
     };
     if conn.send(&welcome.encode_to_vec()).is_err() {
         return;
@@ -555,29 +573,39 @@ mod tests {
         Message::Data(Event::new(EventId::new(OperatorId::new(0), n), 0, Value::Int(n as i64)))
     }
 
+    /// The k-th output of input `serial`, as the node names it.
+    fn out(serial: u64, k: u64) -> Event {
+        Event::new(EventId::new(OperatorId::new(0), (serial << 16) | k), 0, Value::Int(k as i64))
+    }
+
     #[test]
-    fn edge_cursor_counts_in_order_events_through_gaps() {
-        let mut c = EdgeCursor::starting_at(0);
-        assert_eq!(c.offer(0, ev(0)).len(), 1);
-        // Gap: seq 2 held, not counted yet.
-        assert_eq!(c.offer(2, ev(2)).len(), 0);
-        assert_eq!((c.next_seq(), c.events()), (1, 1));
-        // Gap fills: both deliver, both counted.
-        assert_eq!(
-            c.offer(
-                1,
-                Message::DataBatch(vec![
-                    Event::new(EventId::new(OperatorId::new(0), 10), 0, Value::Int(1)),
-                    Event::new(EventId::new(OperatorId::new(0), 11), 0, Value::Int(2)),
-                ])
-            )
-            .len(),
-            2
-        );
-        assert_eq!((c.next_seq(), c.events()), (3, 4), "batch counts events, not frames");
-        // Stale duplicate: ignored.
-        assert_eq!(c.offer(1, ev(1)).len(), 0);
-        assert_eq!(c.events(), 4);
+    fn edge_cursor_tracks_the_output_id_frontier_through_gaps() {
+        let mut c = EdgeCursor::starting_at(0, 0);
+        assert_eq!((c.next_seq(), c.frontier()), (0, 0));
+        assert_eq!(c.offer(0, Message::Data(out(0, 0))).len(), 1);
+        assert_eq!((c.next_seq(), c.frontier()), (1, 1));
+        // Gap: seq 2 is held and does not move the frontier.
+        assert_eq!(c.offer(2, Message::Data(out(3, 0))).len(), 0);
+        assert_eq!((c.next_seq(), c.frontier()), (1, 1));
+        // A DataBatch fills the gap: the frontier passes its last event,
+        // then the released frame.
+        let batch = Message::DataBatch(vec![out(1, 0), out(1, 1), out(2, 0)]);
+        assert_eq!(c.offer(1, batch).len(), 2);
+        assert_eq!((c.next_seq(), c.frontier()), (3, (3 << 16) + 1));
+        // A stale duplicate is dropped and leaves the frontier alone.
+        assert_eq!(c.offer(1, Message::Data(out(1, 0))).len(), 0);
+        assert_eq!(c.frontier(), (3 << 16) + 1);
+        // In-order control frames deliver without touching it.
+        assert_eq!(c.offer(3, Message::Control(Control::Eof)).len(), 1);
+        assert_eq!((c.next_seq(), c.frontier()), (4, (3 << 16) + 1));
+
+        // A respawn is primed from its checkpoint: position and frontier
+        // both resume there, whatever batching carried the events before.
+        let mut r = EdgeCursor::starting_at(3, (2 << 16) + 1);
+        assert_eq!((r.next_seq(), r.frontier()), (3, (2 << 16) + 1));
+        assert_eq!(r.offer(2, Message::Data(out(2, 0))).len(), 0, "below the resume point");
+        assert_eq!(r.offer(3, Message::Data(out(3, 0))).len(), 1);
+        assert_eq!(r.frontier(), (3 << 16) + 1);
     }
 
     /// End-to-end over the in-memory transport: an out-bridge dials an
@@ -602,6 +630,7 @@ mod tests {
                 }),
                 ctrl_rx: up_ctrl_rx,
                 start: 0,
+                frontier: 0,
                 metrics: TransportMetrics::detached(),
             }],
             shutdown.clone(),
@@ -619,7 +648,7 @@ mod tests {
             transport: transport.clone(),
             addr: addr.clone(),
             data_rx,
-            replay: Box::new(move |from| replay_tx.replay_from(from)),
+            retained: Box::new(move |from| replay_tx.retained_from(from)),
             ctrl_sink: Box::new(move |c| {
                 acks_tx.send(c).unwrap();
             }),
@@ -638,6 +667,7 @@ mod tests {
             let (seq, _) = got_rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(seq, n);
         }
+        // Next seq 5; the frontier is one past ev(4)'s id.
         assert_eq!(acceptor.cursor(7), (5, 5));
 
         // Reverse direction: an ack from the receiver's node reaches the
@@ -663,6 +693,75 @@ mod tests {
         acceptor.poke();
     }
 
+    /// A receiver that comes back empty (a respawned process) gets every
+    /// retained frame on reconnect — more than the link's replay credit
+    /// reserve holds — not just the first reserve's worth.
+    #[test]
+    fn reconnect_resends_every_retained_frame_past_the_replay_reserve() {
+        const FRAMES: u64 = streammine_net::DEFAULT_REPLAY_RESERVE as u64 + 36;
+        let transport: Arc<dyn Transport> =
+            Arc::new(MemTransport::new().with_read_timeout(Duration::from_millis(20)));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let receiver = |name: &str| {
+            let (got_tx, got_rx) = crossbeam_channel::unbounded();
+            let (_ctrl_tx, ctrl_rx) = link::<Control>(LinkConfig::instant());
+            let acceptor = Acceptor::start(
+                transport.clone(),
+                name,
+                vec![InEdge {
+                    edge: 3,
+                    deliver: Box::new(move |seq, _msg| {
+                        got_tx.send(seq).unwrap();
+                    }),
+                    ctrl_rx,
+                    start: 0,
+                    frontier: 0,
+                    metrics: TransportMetrics::detached(),
+                }],
+                shutdown.clone(),
+            )
+            .unwrap();
+            (acceptor, got_rx, _ctrl_tx)
+        };
+        let (first, first_rx, _c1) = receiver("mem-first:0");
+        let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
+        let retained_tx = data_tx.clone();
+        let addr = Arc::new(Mutex::new(Some(first.local_addr().to_string())));
+        let _bridge = OutBridge {
+            edge: 3,
+            incarnation: 0,
+            transport: transport.clone(),
+            addr: addr.clone(),
+            data_rx,
+            retained: Box::new(move |from| retained_tx.retained_from(from)),
+            ctrl_sink: Box::new(|_| {}),
+            metrics: TransportMetrics::detached(),
+            shutdown: shutdown.clone(),
+            first_welcome: None,
+        }
+        .start();
+        for n in 0..FRAMES {
+            data_tx.send(ev(n)).unwrap();
+        }
+        for n in 0..FRAMES {
+            assert_eq!(first_rx.recv_timeout(Duration::from_secs(5)).unwrap(), n);
+        }
+
+        // The receiver "restarts": a fresh acceptor at a new address, and
+        // the old connection dies. Nothing was acked, so all is retained.
+        let (second, second_rx, _c2) = receiver("mem-second:0");
+        *addr.lock() = Some(second.local_addr().to_string());
+        first.drop_listener(Duration::from_secs(60));
+        for n in 0..FRAMES {
+            assert_eq!(second_rx.recv_timeout(Duration::from_secs(5)).unwrap(), n);
+        }
+        assert_eq!(second.cursor(3), (FRAMES, FRAMES));
+
+        shutdown.store(true, Ordering::Release);
+        first.poke();
+        second.poke();
+    }
+
     /// A paused inbound edge (one-way partition) delays frames but the
     /// cursor dedups any overlap once the window ends.
     #[test]
@@ -682,6 +781,7 @@ mod tests {
                 }),
                 ctrl_rx: up_ctrl_rx,
                 start: 0,
+                frontier: 0,
                 metrics: TransportMetrics::detached(),
             }],
             shutdown.clone(),
@@ -697,7 +797,7 @@ mod tests {
             transport,
             addr,
             data_rx,
-            replay: Box::new(move |from| replay_tx.replay_from(from)),
+            retained: Box::new(move |from| replay_tx.retained_from(from)),
             ctrl_sink: Box::new(|_| {}),
             metrics: TransportMetrics::detached(),
             shutdown: shutdown.clone(),

@@ -162,7 +162,7 @@ struct Counters {
 /// as the replacement handshakes and the sink cursor moves again.
 struct PendingTimeline {
     timeline: RecoveryTimeline,
-    /// Sink event cursor at detection: output beyond this proves the
+    /// Sink link-seq cursor at detection: output beyond this proves the
     /// replacement's replayed deliveries reached the end of the chain.
     cursor_at_detect: u64,
 }
@@ -193,18 +193,18 @@ impl MonitorShared {
     /// Tracks sink-cursor movement and stamps `first_output` on pending
     /// timelines whose replacement has handshaked and whose backlog the
     /// cursor has now passed.
-    fn observe_cursor(&self, cursor_events: u64) {
+    fn observe_cursor(&self, cursor: u64) {
         let now = self.now_us();
         let mut st = self.timelines.lock();
-        if cursor_events <= st.last_cursor && st.last_advance_us != 0 {
+        if cursor <= st.last_cursor && st.last_advance_us != 0 {
             return;
         }
-        st.last_cursor = cursor_events;
+        st.last_cursor = cursor;
         st.last_advance_us = now;
         for p in st.pending.iter_mut() {
             if p.timeline.handshake_us.is_some()
                 && p.timeline.first_output_us.is_none()
-                && cursor_events > p.cursor_at_detect
+                && cursor > p.cursor_at_detect
             {
                 p.timeline.first_output_us = Some(now);
             }
@@ -312,6 +312,7 @@ impl Cluster {
                     }),
                     ctrl_rx: sink_ctrl_rx,
                     start: 0,
+                    frontier: 0,
                     metrics: TransportMetrics::registered(&obs.registry, (n - 1) as u32, n as u32),
                 }],
                 shutdown.clone(),
@@ -338,9 +339,9 @@ impl Cluster {
             transport: transport.clone(),
             addr: src_slot.clone(),
             data_rx: src_data_rx,
-            replay: {
+            retained: {
                 let tx = src_data_tx.clone();
-                Box::new(move |from| tx.replay_from(from))
+                Box::new(move |from| tx.retained_from(from))
             },
             ctrl_sink: Box::new(move |c| {
                 let _ = src_ctrl_tx.send(c);
@@ -466,8 +467,8 @@ impl Cluster {
     }
 
     /// In-order progress of the sink edge: `(next expected link seq,
-    /// events delivered)`. The event count only moves when a frame arrives
-    /// in order, so it is the cluster's end-to-end progress watermark.
+    /// output-id frontier)`. Both only move when a frame arrives in order;
+    /// the link seq is the cluster's end-to-end progress watermark.
     pub fn sink_cursor(&self) -> (u64, u64) {
         self.sink_acceptor.cursor(self.n as u32)
     }
@@ -606,7 +607,7 @@ impl Cluster {
             }
             std::thread::sleep(Duration::from_millis(30));
         }
-        self.shared.observe_cursor(self.sink_cursor().1);
+        self.shared.observe_cursor(self.sink_cursor().0);
         self.shutdown.store(true, Ordering::Release);
         self.plane.poke();
         self.sink_acceptor.poke();
@@ -725,7 +726,7 @@ fn monitor(
         }
 
         // Track end-to-end progress for the recovery timelines.
-        shared.observe_cursor(sink_acceptor.cursor(n as u32).1);
+        shared.observe_cursor(sink_acceptor.cursor(n as u32).0);
 
         // Failure detection.
         for i in 0..n {
@@ -761,7 +762,7 @@ fn monitor(
                 return;
             }
             let detect_us = shared.now_us();
-            let cursor_at_detect = sink_acceptor.cursor(n as u32).1;
+            let cursor_at_detect = sink_acceptor.cursor(n as u32).0;
             if dead {
                 shared.counters.crash_detected.incr();
                 shared.counters.crashes.fetch_add(1, Ordering::AcqRel);

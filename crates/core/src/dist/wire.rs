@@ -41,10 +41,11 @@ pub enum DistFrame {
     Welcome {
         /// The next link sequence the receiver expects.
         next_seq: u64,
-        /// Data *events* (not frames) the receiver has consumed in order
-        /// on this edge — the resend-suppression count for a freshly
-        /// restarted sender.
-        events_received: u64,
+        /// One past the id sequence of the last data event the receiver
+        /// consumed in order on this edge (0: none) — the output-id
+        /// frontier below which a freshly restarted sender suppresses its
+        /// regenerated outputs.
+        frontier: u64,
     },
     /// A data-lane message with its sender-assigned link sequence.
     Data {
@@ -66,10 +67,10 @@ impl Encode for DistFrame {
                 enc.put_u32(*edge);
                 enc.put_u64(*incarnation);
             }
-            DistFrame::Welcome { next_seq, events_received } => {
+            DistFrame::Welcome { next_seq, frontier } => {
                 enc.put_u8(1);
                 enc.put_u64(*next_seq);
-                enc.put_u64(*events_received);
+                enc.put_u64(*frontier);
             }
             DistFrame::Data { seq, msg } => {
                 enc.put_u8(2);
@@ -88,7 +89,7 @@ impl Decode for DistFrame {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(match dec.get_u8()? {
             0 => DistFrame::EdgeHello { edge: dec.get_u32()?, incarnation: dec.get_u64()? },
-            1 => DistFrame::Welcome { next_seq: dec.get_u64()?, events_received: dec.get_u64()? },
+            1 => DistFrame::Welcome { next_seq: dec.get_u64()?, frontier: dec.get_u64()? },
             2 => DistFrame::Data { seq: dec.get_u64()?, msg: Message::decode(dec)? },
             3 => DistFrame::Ctrl(Control::decode(dec)?),
             tag => return Err(DecodeError::InvalidTag { type_name: "DistFrame", tag }),
@@ -261,7 +262,8 @@ mod tests {
         let ev = Event::new(EventId::new(OperatorId::new(1), 9), 3, Value::Int(7));
         let cases = vec![
             DistFrame::EdgeHello { edge: 2, incarnation: 5 },
-            DistFrame::Welcome { next_seq: 11, events_received: 40 },
+            DistFrame::Welcome { next_seq: 11, frontier: (40 << 16) | 2 },
+            DistFrame::Welcome { next_seq: 0, frontier: 0 },
             DistFrame::Data { seq: 3, msg: Message::Data(ev.clone()) },
             DistFrame::Data { seq: 4, msg: Message::DataBatch(vec![ev.clone(), ev]) },
             DistFrame::Data { seq: 5, msg: Message::Control(Control::Eof) },

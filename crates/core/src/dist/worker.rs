@@ -3,10 +3,10 @@
 //! A worker binary calls [`worker_main`] with an [`OperatorRegistry`]. The
 //! runtime decodes its [`super::WorkerSpec`] from the environment, binds a
 //! data listener, dials the parent's control plane, waits to be wired,
-//! handshakes every out-edge (applying the receiver cursors to its link
-//! counters **before** the node starts, so a restarted incarnation
-//! suppresses exactly the outputs already on the wire), and then runs the
-//! node until the parent says otherwise.
+//! handshakes every out-edge (applying the receiver cursors to its links
+//! and edge frontiers **before** the node starts, so a restarted
+//! incarnation suppresses exactly the outputs already downstream), and
+//! then runs the node until the parent says otherwise.
 //!
 //! By default workers are **checkpoint-free**: recovery is a full
 //! upstream replay plus handshake-driven resend suppression. Nothing the
@@ -43,7 +43,7 @@ use streammine_storage::{CheckpointObs, CheckpointStore, DiskSpec};
 use crate::message::{Control, Message};
 use crate::node::{Node, NodeSeed};
 use crate::operator::Operator;
-use crate::plumbing::{Intake, IntakeHandle, UpEdge};
+use crate::plumbing::{DownEdge, Intake, IntakeHandle, UpEdge};
 use crate::supervisor::NodeHealth;
 use streammine_common::ids::OperatorId;
 
@@ -199,14 +199,14 @@ pub(crate) fn run_worker(
     } else {
         None
     };
-    // A respawn resumes each in-edge at the checkpoint's input position:
-    // every pre-crash checkpoint acked the upstream up to that position,
-    // trimming its retention, so a cursor welcoming the reconnect from 0
-    // would wait forever for frames nobody can replay.
-    let resume_positions: Vec<u64> = checkpoints
+    // A respawn resumes each in-edge at the checkpoint's input position
+    // and frontier: every pre-crash checkpoint acked the upstream up to
+    // that position, trimming its retention, so a cursor welcoming the
+    // reconnect from 0 would wait forever for frames nobody can replay.
+    let (resume_positions, resume_frontier) = checkpoints
         .as_ref()
         .and_then(|s| s.latest())
-        .map(|cp| cp.input_positions.clone())
+        .map(|cp| (cp.input_positions, cp.input_frontier))
         .unwrap_or_default();
 
     // In-edges: the acceptor delivers in-order frames straight into the
@@ -219,6 +219,7 @@ pub(crate) fn run_worker(
         up.push(UpEdge { ctrl_tx: ResilientSender::new(ctrl_tx), _data_pump: None });
         let intake_data = intake.data_tx.clone();
         let start = resume_positions.get(port).copied().unwrap_or(0);
+        let frontier = resume_frontier.get(port).copied().unwrap_or(0);
         let port = port as u32;
         in_edges.push(InEdge {
             edge,
@@ -229,6 +230,7 @@ pub(crate) fn run_worker(
             }),
             ctrl_rx,
             start,
+            frontier,
             metrics: TransportMetrics::registered(&obs.registry, spec.worker, edge),
         });
     }
@@ -263,17 +265,15 @@ pub(crate) fn run_worker(
     };
 
     // Out-edges: links + bridges now, addresses when the Wire arrives.
-    let mut down_data = Vec::new();
+    let mut down = Vec::new();
     let mut down_raw = Vec::new();
-    let mut down_sent: Vec<Arc<AtomicU64>> = Vec::new();
     let mut addr_slots: HashMap<u32, Arc<Mutex<Option<String>>>> = HashMap::new();
     let mut gates = Vec::new();
     for (out, edge) in spec.out_edges.iter().copied().enumerate() {
         let (data_tx, data_rx) = link::<Message>(LinkConfig::instant());
-        let sent = Arc::new(AtomicU64::new(0));
         let slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
         let (gate_tx, gate_rx) = crossbeam_channel::bounded(1);
-        let replay_tx = data_tx.clone();
+        let retained_tx = data_tx.clone();
         let intake_ctrl = intake.ctrl_tx.clone();
         let out = out as u32;
         OutBridge {
@@ -282,7 +282,7 @@ pub(crate) fn run_worker(
             transport: transport.clone(),
             addr: slot.clone(),
             data_rx,
-            replay: Box::new(move |from| replay_tx.replay_from(from)),
+            retained: Box::new(move |from| retained_tx.retained_from(from)),
             ctrl_sink: Box::new(move |ctrl| {
                 let _ = intake_ctrl.send(Intake::Downstream { out, ctrl });
             }),
@@ -293,8 +293,7 @@ pub(crate) fn run_worker(
         .start();
         addr_slots.insert(edge, slot);
         down_raw.push(data_tx.clone());
-        down_data.push(ResilientSender::new(data_tx));
-        down_sent.push(sent);
+        down.push(DownEdge::new(ResilientSender::new(data_tx)));
         gates.push(gate_rx);
     }
 
@@ -324,14 +323,14 @@ pub(crate) fn run_worker(
         }
     }
 
-    // Handshake gates: the receiver cursors, applied to the link counters
-    // before the node runs. `next_seq` re-bases fresh output frames;
-    // `events_sent` is the count of re-derived outputs to suppress.
-    for ((gate, raw), sent) in gates.iter().zip(&down_raw).zip(&down_sent) {
+    // Handshake gates: the receiver cursors, applied before the node runs.
+    // `next_seq` re-bases fresh output frames; the frontier is the output
+    // id below which re-derived outputs are already downstream.
+    for ((gate, raw), edge) in gates.iter().zip(&down_raw).zip(&down) {
         match gate.recv_timeout(WIRING_TIMEOUT) {
-            Ok((next_seq, events_received)) => {
+            Ok((next_seq, frontier)) => {
                 raw.set_next_seq(next_seq);
-                sent.store(events_received, Ordering::Release);
+                edge.frontier.store(frontier, Ordering::Release);
             }
             Err(_) => {
                 eprintln!("worker {}: out-edge handshake timed out", spec.worker);
@@ -342,15 +341,6 @@ pub(crate) fn run_worker(
 
     let log = StableLog::new(config.logging.as_ref().expect("logged config").disks.clone());
     log.attach_obs(LogObs::registered(&obs, spec.worker));
-    let down = down_data
-        .iter()
-        .zip(&down_sent)
-        .map(|(d, sent)| crate::plumbing::DownEdge {
-            data_tx: d.clone(),
-            events_sent: sent.clone(),
-            _ctrl_pump: None,
-        })
-        .collect();
     let reporter_obs = obs.clone();
     let seed = NodeSeed {
         id: OperatorId::new(spec.worker),
@@ -360,6 +350,9 @@ pub(crate) fn run_worker(
         intake,
         up,
         down,
+        // The watermark dies with the process: a respawn's approximate
+        // resume falls back on the edge frontiers.
+        watermark: Arc::new(AtomicU64::new(0)),
         log: Some(log),
         checkpoints,
         rng_seed: spec.rng_seed,

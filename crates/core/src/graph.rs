@@ -239,10 +239,9 @@ pub(crate) struct NodePersist {
     log: Option<StableLog>,
     checkpoints: Option<Arc<CheckpointStore>>,
     up_ctrl: Vec<ResilientSender<Control>>,
-    down_data: Vec<ResilientSender<Message>>,
-    /// Per-edge cumulative data-event send counters (see
-    /// [`DownEdge::events_sent`]); survive restarts with the links.
-    down_sent: Vec<Arc<AtomicU64>>,
+    down: Vec<DownEdge>,
+    /// The node's input watermark (see `NodeSeed::watermark`).
+    watermark: Arc<AtomicU64>,
     _pumps: Vec<JoinHandle<()>>,
     join: Mutex<Option<JoinHandle<()>>>,
     rng_seed: u64,
@@ -267,16 +266,8 @@ impl NodePersist {
                 .iter()
                 .map(|c| UpEdge { ctrl_tx: c.clone(), _data_pump: None })
                 .collect(),
-            down: self
-                .down_data
-                .iter()
-                .zip(&self.down_sent)
-                .map(|(d, sent)| DownEdge {
-                    data_tx: d.clone(),
-                    events_sent: sent.clone(),
-                    _ctrl_pump: None,
-                })
-                .collect(),
+            down: self.down.clone(),
+            watermark: self.watermark.clone(),
             log: self.log.clone(),
             checkpoints: self.checkpoints.clone(),
             rng_seed: self.rng_seed,
@@ -328,8 +319,7 @@ impl Graph {
         let intakes: Vec<IntakeHandle> =
             b.ops.iter().map(|s| IntakeHandle::new(s.config.node.intake_capacity)).collect();
         let mut up_ctrl: Vec<Vec<ResilientSender<Control>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut down_data: Vec<Vec<ResilientSender<Message>>> =
-            (0..n).map(|_| Vec::new()).collect();
+        let mut down: Vec<Vec<DownEdge>> = (0..n).map(|_| Vec::new()).collect();
         let mut pumps: Vec<Vec<JoinHandle<()>>> = (0..n).map(|_| Vec::new()).collect();
         let mut next_port: Vec<u32> = vec![0; n];
         let mut next_out: Vec<u32> = vec![0; n];
@@ -359,7 +349,7 @@ impl Graph {
                 data: data_tx.clone(),
                 ctrl: ctrl_tx.clone(),
             });
-            down_data[f].push(data_tx);
+            down[f].push(DownEdge::new(data_tx));
             up_ctrl[t].push(ctrl_tx);
         }
 
@@ -388,7 +378,7 @@ impl Graph {
             pumps[f].push(pump_ctrl(out, ctrl_rx, intakes[f].ctrl_tx.clone()));
             let data_tx = ResilientSender::new(data_tx).with_limits(b.sender_limits.clone());
             data_tx.set_metrics(EdgeMetrics::registered(&obs.registry, f as u32, out));
-            down_data[f].push(data_tx);
+            down[f].push(DownEdge::new(data_tx));
             sinks.push(SinkHandle::new(data_rx, ctrl_tx, clock.clone(), &obs, f as u32, out));
         }
 
@@ -414,8 +404,8 @@ impl Graph {
                 log,
                 checkpoints,
                 up_ctrl: std::mem::take(&mut up_ctrl[i]),
-                down_sent: (0..down_data[i].len()).map(|_| Arc::new(AtomicU64::new(0))).collect(),
-                down_data: std::mem::take(&mut down_data[i]),
+                down: std::mem::take(&mut down[i]),
+                watermark: Arc::new(AtomicU64::new(0)),
                 _pumps: std::mem::take(&mut pumps[i]),
                 join: Mutex::new(None),
                 rng_seed: 0xABCD_0000 + i as u64,

@@ -40,7 +40,7 @@
 //!    the wire.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,9 +69,13 @@ use crate::plumbing::{
 use crate::state::{StateAccess, StateRegistry};
 use crate::supervisor::{NodeHealth, NodeState, HEARTBEAT_INTERVAL};
 
+/// Low bits of an output id's sequence number that hold the emit index;
+/// the input serial sits above them (see [`assign_output_ids`]).
+const EMIT_BITS: u32 = 16;
+
 /// Maximum outputs a single `process` call may emit (output event ids pack
 /// the emit index into the low bits of the sequence number).
-pub const MAX_OUTPUTS_PER_EVENT: u64 = 1 << 16;
+pub const MAX_OUTPUTS_PER_EVENT: u64 = 1 << EMIT_BITS;
 
 /// Size threshold at which a per-edge output buffer flushes as a
 /// [`Message::DataBatch`] without waiting for the intake to drain.
@@ -152,9 +156,10 @@ struct PendingTxn {
 
 /// Output held by a non-speculative operator until its log is stable.
 struct HeldOutput {
-    ticket: LogTicket,
+    /// `None`: nothing to wait for — the outputs only queue behind earlier
+    /// held ones, so every edge stays fed in serial order.
+    ticket: Option<LogTicket>,
     outputs: Vec<(Event, Option<u32>)>,
-    input_port: u32,
     /// Trace id of the input event, when sampled for tracing.
     trace: Option<u64>,
 }
@@ -200,11 +205,10 @@ impl ReplayWatch {
 struct ApproxState {
     /// The declared (ε, δ) accuracy contract.
     bound: ErrorBound,
-    /// Replayed inputs still to drop in the current resume window. Each
-    /// dropped input consumes a serial without running the operator, so
-    /// later output ids stay aligned with the fault-free run; its state
-    /// update is the loss the budget charged.
-    skip_remaining: u64,
+    /// End of the current resume window: replayed inputs with a serial
+    /// below it have all their outputs on the wire and are dropped; their
+    /// state updates are the loss the budget charged.
+    skip_below: u64,
     /// Updates dropped by the current resume window, not yet permanent:
     /// baked into the store's durable loss counter when the next
     /// checkpoint makes the stale lineage the only lineage. A crash
@@ -227,7 +231,7 @@ impl ApproxState {
         let r = &obs.registry;
         ApproxState {
             bound,
-            skip_remaining: 0,
+            skip_below: 0,
             window_loss: 0,
             lost_gauge: r.gauge("recovery.error_budget.lost", Labels::op(op)),
             allowed_gauge: r.gauge("recovery.error_budget.allowed", Labels::op(op)),
@@ -358,6 +362,9 @@ pub(crate) struct NodeSeed {
     pub intake: IntakeHandle,
     pub up: Vec<UpEdge>,
     pub down: Vec<DownEdge>,
+    /// Every input serial below this watermark has all its outputs on the
+    /// wire. Survives crashes beside the links (not a process restart).
+    pub watermark: Arc<AtomicU64>,
     pub log: Option<StableLog>,
     pub checkpoints: Option<Arc<CheckpointStore>>,
     pub rng_seed: u64,
@@ -383,6 +390,7 @@ pub(crate) struct Node {
     intake: IntakeHandle,
     up: Vec<UpEdge>,
     down: Vec<DownEdge>,
+    watermark: Arc<AtomicU64>,
     log: Option<StableLog>,
     checkpoints: Option<Arc<CheckpointStore>>,
     registry: Arc<StateRegistry>,
@@ -422,15 +430,12 @@ pub(crate) struct Node {
     /// [`BATCH_MAX_EVENTS`] or when the intake drains, so batching never
     /// adds latency under low load.
     out_batch: Vec<Vec<Event>>,
-    /// Per-down-edge count of re-executed outputs to swallow instead of
-    /// sending (non-speculative recovery). A recovering node regenerates
-    /// its output stream from the start of the replayed suffix, but the
-    /// first [`DownEdge::events_sent`] of those events are already on the
-    /// wire — retained by the link for downstream replay, or acked and
-    /// covered by a downstream checkpoint. Re-appending them would park
-    /// duplicate copies at fresh link sequences, which a *later* downstream
-    /// crash would then replay and re-process as new events.
-    suppress_sent: Vec<u64>,
+    /// Per-down-edge regenerated outputs dropped since the last journaled
+    /// `ResendSuppressed`.
+    suppressed: Vec<u64>,
+    /// Per-input-port frontier: one past the id sequence of the last
+    /// consumed event (checkpointed to prime a respawn's edge cursors).
+    consumed: Vec<u64>,
     /// Per-down-edge `(token, from)` of the last replay request served
     /// with at least one re-delivered frame. A watchdog retry of the same
     /// request (same token, same position) is dropped instead of resent:
@@ -558,6 +563,7 @@ impl Node {
             intake: seed.intake,
             up: seed.up,
             down: seed.down,
+            watermark: seed.watermark,
             log: seed.log,
             checkpoints: seed.checkpoints,
             registry: Arc::new(registry),
@@ -581,7 +587,8 @@ impl Node {
             pending_by_serial: HashMap::new(),
             hold_queue: VecDeque::new(),
             out_batch: (0..outputs).map(|_| Vec::new()).collect(),
-            suppress_sent: vec![0; outputs],
+            suppressed: vec![0; outputs],
+            consumed: vec![0; inputs],
             served_replays: vec![None; outputs],
             incarnation: seed.incarnation,
             approx,
@@ -604,7 +611,6 @@ impl Node {
         let mut from_positions: Vec<u64> = vec![0; self.up.len()];
         let mut covered_serials: u64 = 0;
         let mut covers_log = LogSeq(0);
-        let mut sent_baseline: Vec<u64> = vec![0; self.down.len()];
         if let Some(store) = &self.checkpoints {
             if let Some(cp) = store.latest() {
                 match self.registry.restore(&cp.state) {
@@ -612,8 +618,8 @@ impl Node {
                         from_positions = cp.input_positions.clone();
                         covered_serials = cp.events_processed;
                         covers_log = cp.covers_log;
-                        if cp.outputs_sent.len() == sent_baseline.len() {
-                            sent_baseline = cp.outputs_sent.clone();
+                        if cp.input_frontier.len() == self.consumed.len() {
+                            self.consumed = cp.input_frontier.clone();
                         }
                         // Restoring the RNG position keeps the random
                         // stream continuous across the crash: re-executed
@@ -667,47 +673,11 @@ impl Node {
         // Ask every upstream for the suffix we have not durably covered.
         // The resilient sender queues the request if the control link is
         // down and retransmits on heal — recovery is delayed, never lost.
+        // Precise recovery needs no set-up: re-execution regenerates the
+        // same output ids and `send_outputs_final` drops those below their
+        // edge's frontier.
         if self.recovering {
-            if !self.config.speculative {
-                // Per-edge count of regenerated outputs already on the
-                // wire: the link's live send counter minus the
-                // checkpoint's baseline.
-                let excess: Vec<u64> = self
-                    .down
-                    .iter()
-                    .enumerate()
-                    .map(|(out, edge)| {
-                        edge.events_sent.load(Ordering::Acquire).saturating_sub(sent_baseline[out])
-                    })
-                    .collect();
-                // Approximate mode first tries a stale-snapshot resume:
-                // instead of re-executing the suffix (and suppressing its
-                // re-sent outputs), drop the replayed inputs whose outputs
-                // are already downstream, charging their lost state
-                // updates to the error budget. Falls back to the precise
-                // path when the budget refuses.
-                if !self.try_approx_resume(&excess, covered_serials) {
-                    // Replay regenerates the post-checkpoint output stream
-                    // in its original send order (sends are a serial-order
-                    // prefix), so the first `events_sent - baseline`
-                    // regenerated events per edge are byte-identical to
-                    // what the link already carries. Swallow them; the
-                    // link's retained buffer serves any downstream replay
-                    // of that range.
-                    for (out, count) in excess.iter().enumerate() {
-                        self.suppress_sent[out] = *count;
-                        if self.suppress_sent[out] > 0 {
-                            self.obs.journal.record(
-                                Some(self.id.index()),
-                                JournalKind::ResendSuppressed {
-                                    edge: out as u32,
-                                    count: self.suppress_sent[out],
-                                },
-                            );
-                        }
-                    }
-                }
-            }
+            self.try_approx_resume(covered_serials);
             for (port, edge) in self.up.iter().enumerate() {
                 edge.ctrl_tx.send(Control::ReplayRequest {
                     from: from_positions[port],
@@ -733,31 +703,32 @@ impl Node {
     }
 
     /// Attempts a stale-snapshot resume under the approximate recovery
-    /// budget. `excess` holds, per output edge, how many regenerated
-    /// outputs are already on the wire past the checkpoint baseline;
-    /// `covered_serials` is the checkpoint's input position.
+    /// budget; `covered_serials` is the checkpoint's input position.
     ///
-    /// The resume window is the per-edge maximum of `excess`: that many
-    /// replayed inputs produced outputs that already reached downstream,
-    /// so instead of re-executing them (the precise path) the node drops
-    /// them, charging one lost state update each to the error budget.
-    /// Returns `false` — escalate to precise checkpoint+replay — when the
-    /// node is not in approximate mode or when baked loss plus this
-    /// window would exceed the ε·N allowance.
-    fn try_approx_resume(&mut self, excess: &[u64], covered_serials: u64) -> bool {
-        let Some(approx) = &mut self.approx else { return false };
-        let Some(store) = &self.checkpoints else { return false };
-        // Operators are 1:1 (one output per input), so the on-wire output
-        // excess equals the count of replayed inputs to drop. Edges may
-        // disagree only if the crash interrupted a fan-out mid-event;
-        // taking the max never re-emits a delivered output (at-most-once
-        // on the divergent edge is within the approximate contract).
-        let skip = excess.iter().copied().max().unwrap_or(0);
+    /// The window ends at the watermark, or at the smallest serial among
+    /// the edge frontiers if that is higher — the only bound a respawned
+    /// worker process has (edges are fed in serial order, so inputs below
+    /// it are complete on every edge). The node drops the window instead
+    /// of re-executing it, charging one lost update per input; the rest
+    /// re-executes under the output-id rule. When baked loss plus the
+    /// window would exceed the ε·N allowance it escalates instead: the
+    /// whole suffix re-executes, as in precise mode.
+    fn try_approx_resume(&mut self, covered_serials: u64) {
+        let Some(approx) = &mut self.approx else { return };
+        let Some(store) = &self.checkpoints else { return };
+        let edges_done = self
+            .down
+            .iter()
+            .map(|e| e.frontier.load(Ordering::Acquire) >> EMIT_BITS)
+            .min()
+            .unwrap_or(0);
+        let skip_below = self.watermark.load(Ordering::Acquire).max(edges_done);
+        let skip = skip_below.saturating_sub(covered_serials);
         let baked = store.approx_loss();
         let delivered = covered_serials + skip;
         let mut budget = ErrorBudget { bound: approx.bound, lost: baked, escalations: 0 };
         if budget.admit(skip, delivered) {
-            approx.skip_remaining = skip;
+            approx.skip_below = skip_below;
             // The whole window is provisional: a crash before the next
             // save re-derives a superset window from the same baseline.
             approx.window_loss = skip;
@@ -767,7 +738,6 @@ impl Node {
                 Some(self.id.index()),
                 JournalKind::ApproxResume { skipped: skip, lost: baked + skip, remaining },
             );
-            true
         } else {
             store.note_escalation();
             approx.escalations.incr();
@@ -779,7 +749,6 @@ impl Node {
                     allowed: approx.bound.allowed_loss(delivered),
                 },
             );
-            false
         }
     }
 
@@ -1228,19 +1197,15 @@ impl Node {
         replayed: Option<DecisionRecord>,
         queue_wait: Duration,
     ) {
-        if let Some(approx) = &mut self.approx {
-            if approx.skip_remaining > 0 {
-                // Approximate resume window: this replayed input's output
-                // is already on the wire downstream. Consume its serial
-                // without running the operator so later output ids stay
-                // aligned with the fault-free run; its dropped state
-                // update is the loss the budget charged at resume.
-                approx.skip_remaining -= 1;
-                self.next_serial += 1;
-                self.processed.insert(event.id, ProcessedInfo { version: event.version });
-                self.note_event_consumed(port);
-                return;
-            }
+        if self.approx.as_ref().is_some_and(|a| self.next_serial < a.skip_below) {
+            // Approximate resume window: consume the serial without running
+            // the operator, so later output ids stay aligned with the
+            // fault-free run. The window is a prefix of the replay and
+            // skips `maybe_checkpoint`, so no save lands inside it.
+            self.next_serial += 1;
+            self.processed.insert(event.id, ProcessedInfo { version: event.version });
+            self.note_event_consumed(port, event.id);
+            return;
         }
         let serial = self.next_serial;
         self.next_serial += 1;
@@ -1312,14 +1277,14 @@ impl Node {
         drop(ctx);
 
         self.processed.insert(event.id, ProcessedInfo { version: event.version });
-        self.note_event_consumed(port);
+        self.note_event_consumed(port, event.id);
 
         // Approximate mode trades the determinant log for the error
         // budget: bound-covered state never needs deterministic
         // re-execution (a budget refusal escalates to full replay, which
         // re-derives determinants live off the checkpointed RNG), so the
         // per-event stable-log wait disappears from the hot path.
-        match (&self.log, replaying || self.approx.is_some()) {
+        let ticket = match (&self.log, replaying || self.approx.is_some()) {
             (Some(log), false) if !decisions.is_empty() => {
                 // Hold outputs until the decision record is stable (§2.4).
                 let appended_at = Instant::now();
@@ -1340,19 +1305,22 @@ impl Node {
                     }
                     let _ = intake.send(Intake::LogStable { serial: s });
                 });
-                self.hold_queue.push_back((
-                    serial,
-                    HeldOutput { ticket, outputs, input_port: port, trace: trace_id },
-                ));
+                Some(ticket)
             }
-            _ => {
-                // Deterministic (nothing logged) or replaying (decisions
-                // already stable): forward immediately.
-                if event.trace.is_some() {
-                    self.obs.tracer.record_commit(self.id.index(), serial, 0);
-                }
-                self.send_outputs_final(outputs);
+            _ => None,
+        };
+        if ticket.is_some() || !self.hold_queue.is_empty() {
+            // Outputs wait for their own record, or queue behind earlier
+            // held ones: the output-id frontier needs every edge fed in
+            // serial order.
+            self.hold_queue.push_back((serial, HeldOutput { ticket, outputs, trace: trace_id }));
+        } else {
+            // Deterministic (nothing logged) or replaying (decisions
+            // already stable): forward immediately.
+            if event.trace.is_some() {
+                self.obs.tracer.record_commit(self.id.index(), serial, 0);
             }
+            self.send_outputs_final(outputs);
         }
         self.maybe_checkpoint();
     }
@@ -1374,7 +1342,7 @@ impl Node {
         // Non-speculative mode: flush the stable prefix in serial order
         // (keeps FIFO downstream).
         while let Some((_s, held)) = self.hold_queue.front() {
-            if !held.ticket.is_stable() {
+            if !held.ticket.as_ref().is_none_or(LogTicket::is_stable) {
                 break;
             }
             let (s, held) = self.hold_queue.pop_front().expect("nonempty");
@@ -1384,7 +1352,6 @@ impl Node {
                 self.obs.tracer.record_commit(self.id.index(), s, 0);
             }
             self.send_outputs_final(held.outputs);
-            let _ = held.input_port;
         }
         // Speculative mode: a stable log is one leg of the commit gate.
         if let Some(id) = self.pending_by_serial.get(&serial).cloned() {
@@ -1396,53 +1363,68 @@ impl Node {
         self.maybe_checkpoint();
     }
 
-    /// Stages final outputs for sending. Events accumulate in per-edge
-    /// buffers (payloads are shared via their `Arc`, not deep-copied) and
-    /// go out as one `DataBatch` frame when a buffer reaches
-    /// [`BATCH_MAX_EVENTS`] or the coordinator runs out of intake work.
+    /// Stages one input's final outputs for sending. Events
+    /// accumulate in per-edge buffers (payloads are shared via their
+    /// `Arc`, not deep-copied) and go out as one `DataBatch` frame when a
+    /// buffer reaches [`BATCH_MAX_EVENTS`] or the coordinator runs out of
+    /// intake work. An output whose id lies below its edge's frontier is a
+    /// re-executed copy of one already on the wire and is dropped: parked
+    /// at a fresh link sequence, a later downstream crash would replay it
+    /// as a new event.
     fn send_outputs_final(&mut self, outputs: Vec<(Event, Option<u32>)>) {
         for (event, target) in outputs {
             for out in 0..self.down.len() {
-                if target.map(|t| t as usize == out).unwrap_or(true) {
-                    if self.suppress_sent[out] > 0 {
-                        // Re-executed output already on the wire (see the
-                        // `suppress_sent` field) — do not append a
-                        // duplicate copy at a fresh link sequence.
-                        self.suppress_sent[out] -= 1;
-                        self.metrics.resend_suppressed.incr();
-                        continue;
-                    }
-                    self.out_batch[out].push(event.clone());
-                    if self.out_batch[out].len() >= BATCH_MAX_EVENTS {
-                        self.flush_edge(out);
-                    }
+                if !target.map(|t| t as usize == out).unwrap_or(true) {
+                    continue;
+                }
+                if event.id.seq < self.down[out].frontier.load(Ordering::Acquire) {
+                    self.suppressed[out] += 1;
+                    self.metrics.resend_suppressed.incr();
+                    continue;
+                }
+                if self.suppressed[out] > 0 {
+                    self.obs.journal.record(
+                        Some(self.id.index()),
+                        JournalKind::ResendSuppressed {
+                            edge: out as u32,
+                            count: std::mem::take(&mut self.suppressed[out]),
+                        },
+                    );
+                }
+                self.out_batch[out].push(event.clone());
+                if self.out_batch[out].len() >= BATCH_MAX_EVENTS {
+                    self.flush_edge(out);
                 }
             }
         }
+        self.advance_watermark();
     }
 
-    /// Sends edge `out`'s buffered outputs: a lone event as plain `Data`
-    /// (identical wire behavior to unbatched operation), several as one
-    /// `DataBatch`.
+    /// Moves the watermark up to the first input whose outputs are still
+    /// held (or not yet produced) once every edge buffer is empty — only
+    /// at input boundaries, so a batch-full flush in the middle of one
+    /// input's fan-out never advances it. Speculative outputs leave from
+    /// worker threads and never count.
+    fn advance_watermark(&self) {
+        if !self.config.speculative && self.out_batch.iter().all(Vec::is_empty) {
+            let held = self.hold_queue.front().map_or(self.next_serial, |(s, _)| *s);
+            self.watermark.fetch_max(held, Ordering::AcqRel);
+        }
+    }
+
+    /// Sends edge `out`'s buffered outputs (see [`flush_run`]) and moves
+    /// the edge's frontier past them.
     fn flush_edge(&mut self, out: usize) {
-        let events = &mut self.out_batch[out];
-        let msg = match events.len() {
-            0 => return,
-            // Pop the lone event and keep the buffer (and its capacity);
-            // only the multi-event frame has to hand the Vec itself over
-            // the wire.
-            1 => Message::Data(events.pop().expect("len checked")),
-            _ => Message::DataBatch(std::mem::take(events)),
-        };
-        self.metrics.batch_events.record(msg.event_count() as u64);
-        self.down[out].events_sent.fetch_add(msg.event_count() as u64, Ordering::AcqRel);
-        let _ = self.down[out].data_tx.send(msg);
+        let Some(last) = self.out_batch[out].last().map(|e| e.id.seq) else { return };
+        flush_run(&self.down[out].data_tx, &mut self.out_batch[out], &self.metrics.batch_events);
+        self.down[out].frontier.fetch_max(last + 1, Ordering::AcqRel);
     }
 
     fn flush_out_batches(&mut self) {
         for out in 0..self.down.len() {
             self.flush_edge(out);
         }
+        self.advance_watermark();
     }
 
     // -----------------------------------------------------------------
@@ -1498,7 +1480,7 @@ impl Node {
         self.pending.insert(event.id, pending.clone());
         self.pending_by_txn.insert(handle.id(), event.id);
         self.pending_by_serial.insert(serial, event.id);
-        self.note_event_consumed(port);
+        self.note_event_consumed(port, event.id);
         self.spawn_attempt(pending, replayed);
     }
 
@@ -1744,7 +1726,9 @@ impl Node {
     // Checkpointing
     // -----------------------------------------------------------------
 
-    fn note_event_consumed(&mut self, _port: u32) {
+    fn note_event_consumed(&mut self, port: u32, input: EventId) {
+        let consumed = &mut self.consumed[port as usize];
+        *consumed = (*consumed).max(input.seq + 1);
         if !self.config.speculative {
             self.events_since_checkpoint += 1;
         }
@@ -1753,16 +1737,6 @@ impl Node {
     fn maybe_checkpoint(&mut self) {
         let Some(interval) = self.config.checkpoint_every else { return };
         if self.events_since_checkpoint < interval {
-            return;
-        }
-        // Never save mid-resume-window: the save would pin mid-window
-        // input positions against pre-crash output counters, corrupting
-        // the skip computation of any later crash. The window's loss is
-        // baked into the durable budget only at the first save after the
-        // window drains — a crash before that re-derives a superset
-        // window from the same baseline, so baking earlier would
-        // double-charge.
-        if self.approx.as_ref().is_some_and(|a| a.skip_remaining > 0) {
             return;
         }
         // A checkpoint may only cover fully settled work: no in-flight
@@ -1801,16 +1775,11 @@ impl Node {
         // The serialized RNG goes into the checkpoint so the random stream
         // stays continuous across a crash (see `recover`).
         let rng_state = encode_to_vec(&*self.rng.lock());
-        // With the hold queue drained and batches flushed, the send
-        // counters cover exactly the outputs of the checkpointed prefix —
-        // the baseline recovery subtracts to size its resend suppression.
-        let outputs_sent: Vec<u64> =
-            self.down.iter().map(|e| e.events_sent.load(Ordering::Acquire)).collect();
         let cp = store.save(
             covers_log,
             self.next_serial,
             positions.clone(),
-            outputs_sent,
+            self.consumed.clone(),
             self.registry.snapshot(),
             rng_state,
         );
@@ -1993,8 +1962,8 @@ fn flush_run(
 ) {
     let msg = match run.len() {
         0 => return,
-        // As in `flush_edge`: a lone event is popped so the run buffer
-        // keeps its capacity; a batch frame must own its Vec.
+        // A lone event is popped so the run buffer keeps its capacity;
+        // only a batch frame has to hand the Vec itself over the wire.
         1 => Message::Data(run.pop().expect("len checked")),
         _ => Message::DataBatch(std::mem::take(run)),
     };
@@ -2018,7 +1987,8 @@ fn maybe_authorize_pending(pending: &Arc<PendingTxn>) {
 
 /// Deterministically derives output event ids from the input serial: the
 /// k-th output of the event at `serial` is `op#(serial << 16 | k)`, which
-/// replays to the identical id after recovery.
+/// replays to the identical id after recovery. Ids therefore grow with
+/// serial order, which is what makes an edge's last id a frontier.
 fn assign_output_ids(
     op: OperatorId,
     serial: u64,
@@ -2037,7 +2007,7 @@ fn assign_output_ids(
         .map(|(k, (target, p))| {
             (
                 Event {
-                    id: EventId::new(op, (serial << 16) | k as u64),
+                    id: EventId::new(op, (serial << EMIT_BITS) | k as u64),
                     version: 0,
                     timestamp: ts,
                     speculative,

@@ -70,24 +70,26 @@ pub(crate) enum NodeCommand {
 ///
 /// The sender is resilient: while the link is severed, outgoing messages
 /// queue inside the (crash-surviving) sender and are retransmitted with
-/// capped exponential backoff once the link heals.
+/// capped exponential backoff once the link heals. Both fields survive
+/// node restarts; each incarnation gets a clone.
+#[derive(Debug, Clone)]
 pub(crate) struct DownEdge {
     /// Data + finalize/revoke to the receiver.
     pub data_tx: ResilientSender<Message>,
-    /// Cumulative count of data *events* (not frames) ever put on this
-    /// edge, across every incarnation of the sending node. Lives outside
-    /// the node like the link itself, so a recovering node knows how many
-    /// of its re-executed outputs are already on the wire and must not be
-    /// appended again.
-    pub events_sent: Arc<AtomicU64>,
-    /// Forwarder feeding the receiver's acknowledgments into our intake
-    /// (held only to keep the thread alive).
-    pub _ctrl_pump: Option<JoinHandle<()>>,
+    /// Output-id frontier of this edge: one past the id sequence of the
+    /// last data event ever put on it, across every incarnation of the
+    /// sending node. Output ids derive from input serials and the edge is
+    /// fed in serial order, so every id below the frontier is on the wire.
+    /// Lives outside the node like the link itself (a restarted worker
+    /// process learns it from the receiver's `Welcome`), so a recovering
+    /// node drops each regenerated output whose id lies below it.
+    pub frontier: Arc<AtomicU64>,
 }
 
-impl fmt::Debug for DownEdge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DownEdge").finish()
+impl DownEdge {
+    /// An edge nothing has been sent on yet.
+    pub fn new(data_tx: ResilientSender<Message>) -> DownEdge {
+        DownEdge { data_tx, frontier: Arc::new(AtomicU64::new(0)) }
     }
 }
 

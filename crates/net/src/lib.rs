@@ -372,12 +372,8 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
     /// replay-retry watchdog re-requests the suffix once the consumer has
     /// drained.
     pub fn replay_from(&self, from: u64) -> usize {
-        let to_replay: Vec<(u64, T)> = {
-            let retained = self.shared.retained.lock();
-            retained.iter().filter(|(s, _)| *s >= from).cloned().collect()
-        };
         let mut sent = 0;
-        for (seq, msg) in to_replay {
+        for (seq, msg) in self.retained_from(from) {
             if !self.shared.acquire(CreditClass::Replay) {
                 break;
             }
@@ -389,6 +385,14 @@ impl<T: Clone + Send + 'static> LinkSender<T> {
             sent += 1;
         }
         sent
+    }
+
+    /// Copies of the retained messages with sequence `>= from`, in order.
+    /// A transport bridge resends them itself after a reconnect, outside
+    /// the credit window.
+    pub fn retained_from(&self, from: u64) -> Vec<(u64, T)> {
+        let retained = self.shared.retained.lock();
+        retained.iter().filter(|(s, _)| *s >= from).cloned().collect()
     }
 
     /// Drops retained messages with sequence `< upto` — the downstream

@@ -94,8 +94,10 @@ pub enum JournalKind {
         /// First link sequence replayed.
         from: u64,
     },
-    /// Re-executed outputs on `edge` were suppressed instead of re-sent
-    /// (they were already on the wire before the crash).
+    /// A run of re-executed outputs on `edge` was suppressed instead of
+    /// re-sent: their ids lay below the edge's output-id frontier (they
+    /// were already on the wire before the crash). Recorded when the run
+    /// ends, at the first regenerated output past the frontier.
     ResendSuppressed {
         /// Output edge index.
         edge: u32,

@@ -74,12 +74,12 @@ pub struct Checkpoint {
     /// Per-input-stream positions: link sequence each upstream should
     /// replay from (used to ask upstreams for replay).
     pub input_positions: Vec<u64>,
-    /// Per-output-edge count of data events the operator had sent when the
-    /// snapshot was taken. Recovery replays only the post-checkpoint
-    /// suffix, so the difference between the link's live send counter and
-    /// this value is exactly the number of re-executed outputs that are
-    /// already on the wire and must not be re-sent.
-    pub outputs_sent: Vec<u64>,
+    /// Per-input-stream frontier: one past the id sequence of the last
+    /// event consumed from each stream before `input_positions`. A
+    /// respawned process primes its receive cursors with it, so a sender
+    /// restarting at the same time suppresses exactly the outputs this
+    /// snapshot already covers, however its frames were batched.
+    pub input_frontier: Vec<u64>,
     /// Serialized operator state.
     pub state: Vec<u8>,
     /// Serialized operator RNG state: restoring it keeps the random stream
@@ -94,7 +94,7 @@ impl Encode for Checkpoint {
         enc.put_u64(self.covers_log.0);
         enc.put_u64(self.events_processed);
         self.input_positions.encode(enc);
-        self.outputs_sent.encode(enc);
+        self.input_frontier.encode(enc);
         enc.put_bytes(&self.state);
         enc.put_bytes(&self.rng_state);
     }
@@ -107,7 +107,7 @@ impl Decode for Checkpoint {
             covers_log: LogSeq(dec.get_u64()?),
             events_processed: dec.get_u64()?,
             input_positions: Vec::<u64>::decode(dec)?,
-            outputs_sent: Vec::<u64>::decode(dec)?,
+            input_frontier: Vec::<u64>::decode(dec)?,
             state: dec.get_bytes()?,
             rng_state: dec.get_bytes()?,
         })
@@ -276,7 +276,7 @@ impl CheckpointStore {
         covers_log: LogSeq,
         events_processed: u64,
         input_positions: Vec<u64>,
-        outputs_sent: Vec<u64>,
+        input_frontier: Vec<u64>,
         state: Vec<u8>,
         rng_state: Vec<u8>,
     ) -> Checkpoint {
@@ -291,7 +291,7 @@ impl CheckpointStore {
             covers_log,
             events_processed,
             input_positions,
-            outputs_sent,
+            input_frontier,
             state,
             rng_state,
         };
@@ -434,7 +434,7 @@ mod tests {
             covers_log: LogSeq(99),
             events_processed: 42,
             input_positions: vec![1, 2, 3],
-            outputs_sent: vec![4, 5],
+            input_frontier: vec![4 << 16, (5 << 16) | 2, 0],
             state: vec![0xAB; 16],
             rng_state: vec![0xCD; 32],
         };

@@ -407,3 +407,24 @@ fn cluster_telemetry_aggregates_metrics_traces_and_timelines() {
         "telemetry undercounted worker 1's restart"
     );
 }
+
+/// A late SIGKILL of the middle hop: by the time the worker dies, its
+/// downstream has consumed more events than one replay pass re-delivers
+/// (the link's replay credit reserve is 64 frames). The replacement must
+/// re-derive the whole history, suppress what is already downstream, and
+/// carry every post-kill event through to a final, byte-identical sink.
+#[test]
+fn late_sigkill_past_the_replay_reserve_recovers_byte_identical() {
+    const TAIL: u64 = 50;
+    for history in [64u64, 100] {
+        let input = inputs(history + TAIL);
+        let expected = reference(3, &input);
+        let plan = ProcFaultPlan::scripted(vec![ProcFaultEvent {
+            step: history,
+            kind: ProcFaultKind::KillWorker { worker: 1 },
+        }]);
+        let r = cluster_run(3, &input, &plan, Duration::from_millis(1));
+        assert!(r.restarts >= 1, "history {history}: the killed worker was never restarted");
+        assert_eq!(r.out, expected, "history {history}: late-kill recovery changed the output");
+    }
+}
