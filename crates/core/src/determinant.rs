@@ -87,6 +87,16 @@ impl DecisionRecord {
     pub fn is_empty(&self) -> bool {
         self.decisions.is_empty()
     }
+
+    /// The decisions a re-execution of the event draws, in order. The
+    /// input choice is left out: the engine's merge step consumed it.
+    pub fn into_replay(self) -> VecDeque<Determinant> {
+        let mut queue: VecDeque<Determinant> = self.decisions.into();
+        if matches!(queue.front(), Some(Determinant::InputChoice(_))) {
+            queue.pop_front();
+        }
+        queue
+    }
 }
 
 impl Encode for DecisionRecord {

@@ -280,8 +280,13 @@ impl SinkState {
                 self.tracer.sink_first_arrival(ctx.id, ctx.parent, latency);
             }
         }
-        if event.version >= entry.event.version {
-            if event.version > entry.event.version {
+        // Until final, a copy that differs supersedes the one held: a
+        // revision, or a restarted sender's regenerated output at version 0
+        // (links are FIFO and a sender only raises an output's version).
+        if entry.final_at_us.is_none()
+            && (event.version != entry.event.version || event.payload != entry.event.payload)
+        {
+            if !fresh {
                 entry.versions_seen += 1;
             }
             entry.event = event;

@@ -21,6 +21,9 @@
 //!   messages upgrade the outputs downstream. Rollbacks re-execute the
 //!   event and re-emit revised outputs under a bumped version.
 //!
+//! Both modes recover on one rule: a re-executed output below its edge's
+//! output-id frontier is already final downstream and is not re-sent.
+//!
 //! # Emission-ordering protocol (speculative mode)
 //!
 //! Attempts of one event may finish on different worker threads in any
@@ -39,7 +42,7 @@
 //!    inside it: nothing can revise an output after its finalize entered
 //!    the wire.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -260,14 +263,6 @@ enum StallReason {
     SpecCap { open: usize, retained: usize },
 }
 
-/// What a node remembers about an input event it fully processed.
-#[derive(Debug, Clone, Copy)]
-struct ProcessedInfo {
-    /// Final version of the input (kept for protocol diagnostics).
-    #[allow(dead_code)]
-    version: u32,
-}
-
 /// Per-node metric handles, registered once at construction. Bumping one
 /// on the hot path is a relaxed atomic op; the registry lock is never
 /// taken after registration.
@@ -275,8 +270,6 @@ struct ProcessedInfo {
 struct NodeMetrics {
     /// Events accepted into processing, per input port.
     events_in: Vec<Counter>,
-    /// Speculative outputs published before log stability.
-    spec_published: Counter,
     /// Transactions committed (outputs finalized downstream).
     spec_finalized: Counter,
     /// Rollback + re-execution rounds.
@@ -285,20 +278,13 @@ struct NodeMetrics {
     replay_requests: Counter,
     /// Downstream replay requests served from the link buffer.
     replay_served: Counter,
-    /// Re-executed outputs swallowed because they were already on the wire.
-    resend_suppressed: Counter,
     /// Time events sat in a port queue before processing.
     queue_wait_us: Histogram,
     /// Operator `process` call duration.
     process_us: Histogram,
-    /// Append-to-stable latency of decision-log writes, as observed by the
-    /// commit gate (the paper's "one parallel log write" leg).
-    log_wait_us: Histogram,
     /// Speculative publish → commit time (how long outputs stayed
     /// speculative).
     commit_gate_us: Histogram,
-    /// Events per outgoing data frame (micro-batching effectiveness).
-    batch_events: Histogram,
     /// Backpressure / admission-control stall episodes entered.
     backpressure_stalls: Counter,
     /// Duration of finished stall episodes.
@@ -324,17 +310,13 @@ impl NodeMetrics {
             events_in: (0..inputs)
                 .map(|p| r.counter("events.in", Labels::op_port(op, p as u32)))
                 .collect(),
-            spec_published: r.counter("spec.published", Labels::op(op)),
             spec_finalized: r.counter("spec.finalized", Labels::op(op)),
             spec_rollbacks: r.counter("spec.rollbacks", Labels::op(op)),
             replay_requests: r.counter("replay.requests", Labels::op(op)),
             replay_served: r.counter("replay.served", Labels::op(op)),
-            resend_suppressed: r.counter("resend.suppressed", Labels::op(op)),
             queue_wait_us: r.histogram("stage.queue_wait_us", Labels::op(op)),
             process_us: r.histogram("stage.process_us", Labels::op(op)),
-            log_wait_us: r.histogram("stage.log_wait_us", Labels::op(op)),
             commit_gate_us: r.histogram("stage.commit_gate_us", Labels::op(op)),
-            batch_events: r.histogram("batch.events", Labels::op(op)),
             backpressure_stalls: r.counter("backpressure.stalls", Labels::op(op)),
             backpressure_stall_us: r.histogram("backpressure.stall_us", Labels::op(op)),
             spec_cap_hits: r.counter("spec.cap_hits", Labels::op(op)),
@@ -389,9 +371,9 @@ pub(crate) struct Node {
     clock: SharedClock,
     intake: IntakeHandle,
     up: Vec<UpEdge>,
-    down: Vec<DownEdge>,
+    /// Out-edges and decision log, shared with the publishing workers.
+    send: Arc<NodeSendView>,
     watermark: Arc<AtomicU64>,
-    log: Option<StableLog>,
     checkpoints: Option<Arc<CheckpointStore>>,
     registry: Arc<StateRegistry>,
     stm: Option<StmRuntime>,
@@ -420,19 +402,16 @@ pub(crate) struct Node {
     replay: Option<ReplayCursor>,
 
     next_serial: u64,
-    processed: HashMap<EventId, ProcessedInfo>,
     pending: HashMap<EventId, Arc<PendingTxn>>,
     pending_by_txn: HashMap<TxnId, EventId>,
-    pending_by_serial: HashMap<u64, EventId>,
+    /// Ordered: the lowest open serial is the speculative frontier.
+    pending_by_serial: BTreeMap<u64, EventId>,
     hold_queue: VecDeque<(u64, HeldOutput)>,
     /// Per-down-edge buffers of final outputs awaiting a batched send
     /// (non-speculative path). Flushed when they reach
     /// [`BATCH_MAX_EVENTS`] or when the intake drains, so batching never
     /// adds latency under low load.
     out_batch: Vec<Vec<Event>>,
-    /// Per-down-edge regenerated outputs dropped since the last journaled
-    /// `ResendSuppressed`.
-    suppressed: Vec<u64>,
     /// Per-input-port frontier: one past the id sequence of the last
     /// consumed event (checkpointed to prime a respawn's edge cursors).
     consumed: Vec<u64>,
@@ -454,16 +433,12 @@ pub(crate) struct Node {
     running: bool,
     crashed: bool,
     /// When the current backpressure / admission-control stall began
-    /// (`None`: flowing normally). While set, the coordinator serves only
-    /// the control lane — data stays queued on the bounded intake lane and
-    /// in `port_queues`, pumps block, and the upstream saturates in turn.
+    /// (`None`: flowing normally). While set, the coordinator admits
+    /// nothing and serves only the control lane (but see
+    /// [`Node::pulls_while_stalled`]) — data stays queued on the bounded
+    /// intake lane and in `port_queues`, pumps block, and the upstream
+    /// saturates in turn.
     stall_since: Option<Instant>,
-    /// Running count of published-but-unfinalized speculative output
-    /// events across all pending transactions (updated by worker threads
-    /// in `after_publish`, decremented on commit/revoke). Drives the
-    /// `max_retained_spec_outputs` admission cap without walking `pending`
-    /// on the hot path.
-    spec_retained: Arc<AtomicI64>,
 }
 
 impl Node {
@@ -501,8 +476,6 @@ impl Node {
     }
 
     fn build(seed: NodeSeed) -> Node {
-        let recovering = seed.recovering;
-        let _ = recovering;
         let stm = seed.config.speculative.then(|| StmRuntime::with_config(seed.config.stm.clone()));
         let mut registry = match &stm {
             Some(rt) => StateRegistry::speculative(rt.clone()),
@@ -555,6 +528,21 @@ impl Node {
             }
             RecoveryMode::Precise => None,
         };
+        let (r, op) = (&seed.obs.registry, seed.id.index());
+        let send = Arc::new(NodeSendView {
+            id: seed.id,
+            down: seed.down,
+            log: seed.log,
+            intake: seed.intake.ctrl_tx.clone(),
+            journal: seed.obs.journal.clone(),
+            tracer: seed.obs.tracer.clone(),
+            spec_published: r.counter("spec.published", Labels::op(op)),
+            resend_suppressed: r.counter("resend.suppressed", Labels::op(op)),
+            log_wait_us: r.histogram("stage.log_wait_us", Labels::op(op)),
+            batch_events: r.histogram("batch.events", Labels::op(op)),
+            suppressed: (0..outputs).map(|_| AtomicU64::new(0)).collect(),
+            spec_retained: AtomicI64::new(0),
+        });
         Node {
             id: seed.id,
             operator: seed.operator,
@@ -562,9 +550,8 @@ impl Node {
             clock: seed.clock,
             intake: seed.intake,
             up: seed.up,
-            down: seed.down,
+            send,
             watermark: seed.watermark,
-            log: seed.log,
             checkpoints: seed.checkpoints,
             registry: Arc::new(registry),
             stm,
@@ -581,24 +568,21 @@ impl Node {
             parked: HashMap::new(),
             replay: None,
             next_serial: 0,
-            processed: HashMap::new(),
             pending: HashMap::new(),
             pending_by_txn: HashMap::new(),
-            pending_by_serial: HashMap::new(),
+            pending_by_serial: BTreeMap::new(),
             hold_queue: VecDeque::new(),
             out_batch: (0..outputs).map(|_| Vec::new()).collect(),
-            suppressed: vec![0; outputs],
             consumed: vec![0; inputs],
             served_replays: vec![None; outputs],
             incarnation: seed.incarnation,
             approx,
             events_since_checkpoint: 0,
             eof_count: 0,
-            recovering,
+            recovering: seed.recovering,
             running: true,
             crashed: false,
             stall_since: None,
-            spec_retained: Arc::new(AtomicI64::new(0)),
         }
     }
 
@@ -649,7 +633,7 @@ impl Node {
             *rb = ReorderBuffer::new(from_positions[port]);
         }
         // Rebuild the determinant cursor from the stable log suffix.
-        if let Some(log) = &self.log {
+        if let Some(log) = &self.send.log {
             let mut records = Vec::new();
             let mut latest: HashMap<u64, DecisionRecord> = HashMap::new();
             for (seq, group) in log.stable_groups() {
@@ -674,8 +658,8 @@ impl Node {
         // The resilient sender queues the request if the control link is
         // down and retransmits on heal — recovery is delayed, never lost.
         // Precise recovery needs no set-up: re-execution regenerates the
-        // same output ids and `send_outputs_final` drops those below their
-        // edge's frontier.
+        // same output ids and `NodeSendView::admit` drops those below
+        // their edge's frontier.
         if self.recovering {
             self.try_approx_resume(covered_serials);
             for (port, edge) in self.up.iter().enumerate() {
@@ -717,6 +701,7 @@ impl Node {
         let Some(approx) = &mut self.approx else { return };
         let Some(store) = &self.checkpoints else { return };
         let edges_done = self
+            .send
             .down
             .iter()
             .map(|e| e.frontier.load(Ordering::Acquire) >> EMIT_BITS)
@@ -758,14 +743,14 @@ impl Node {
 
     fn run(&mut self) {
         while self.running {
-            // While stalled on backpressure or an admission cap, only the
-            // control lane is served: data stays queued on the bounded
+            // While stalled, only the control lane is served (but see
+            // `pulls_while_stalled`): data stays queued on the bounded
             // intake lane, so its pumps block and the upstream link's
             // credit window stays consumed — backpressure propagates hop
             // by hop. Control keeps flowing, so the node still serves
             // downstream replay requests and receives the acks, commits
             // and log-stability callbacks that end the stall.
-            let accept_data = self.stall_since.is_none();
+            let accept_data = self.stall_since.is_none() || self.pulls_while_stalled();
             // Adaptive flush: buffered outputs only hit the wire when the
             // intake has drained (about to block) or a buffer reached the
             // size threshold. Under low load the intake is empty after
@@ -826,7 +811,7 @@ impl Node {
     fn tick(&mut self) {
         self.last_tick = Instant::now();
         self.health.beat();
-        for edge in &self.down {
+        for edge in &self.send.down {
             edge.data_tx.flush();
         }
         for edge in &self.up {
@@ -835,7 +820,7 @@ impl Node {
         self.retry_stalled_replay();
         self.metrics.intake_depth.set(self.intake.data_depth() as i64);
         self.metrics.spec_open.set(self.pending.len() as i64);
-        self.metrics.spec_retained.set(self.spec_retained.load(Ordering::Relaxed).max(0));
+        self.metrics.spec_retained.set(self.send.spec_retained.load(Ordering::Relaxed).max(0));
         if let Some(stm) = &self.stm {
             let fields = stm.stats().fields();
             for ((_, value), gauge) in fields.iter().zip(&self.metrics.stm_gauges) {
@@ -859,14 +844,14 @@ impl Node {
         // conservative: micro-batching can coalesce them into fewer
         // frames, never more.)
         let held: usize = self.hold_queue.iter().map(|(_, h)| h.outputs.len()).sum();
-        for (out, edge) in self.down.iter().enumerate() {
+        for (out, edge) in self.send.down.iter().enumerate() {
             if edge.data_tx.is_saturated_with(held) {
                 return Some(StallReason::Edge(out as u32));
             }
         }
         if self.config.speculative {
             let open = self.pending.len();
-            let retained = self.spec_retained.load(Ordering::Relaxed).max(0) as usize;
+            let retained = self.send.spec_retained.load(Ordering::Relaxed).max(0) as usize;
             if open >= self.config.node.max_open_speculations
                 || retained >= self.config.node.max_retained_spec_outputs
             {
@@ -892,6 +877,15 @@ impl Node {
                 false
             }
         }
+    }
+
+    /// Whether a stalled node still pulls upstream messages into its port
+    /// queues: under the speculation cap, while they hold fewer events than
+    /// the intake lane. Open inputs' finalizes travel behind data.
+    fn pulls_while_stalled(&self) -> bool {
+        matches!(self.overload_reason(), Some(StallReason::SpecCap { .. }))
+            && self.port_queues.iter().map(VecDeque::len).sum::<usize>()
+                < self.config.node.intake_capacity
     }
 
     fn enter_stall(&mut self, reason: StallReason) {
@@ -1036,15 +1030,15 @@ impl Node {
                 }
             }
             Message::Control(Control::Finalize { id, version }) => {
-                self.on_input_finalized(id, version)
+                self.on_input_finalized(port, id, version)
             }
-            Message::Control(Control::Revoke { id }) => self.on_input_revoked(id),
+            Message::Control(Control::Revoke { id }) => self.on_input_revoked(port, id),
             Message::Control(Control::Eof) => {
                 self.eof_count += 1;
                 if self.eof_count >= self.up.len() {
                     // Buffered data must precede EOF on the wire.
                     self.flush_out_batches();
-                    for edge in &self.down {
+                    for edge in &self.send.down {
                         let _ = edge.data_tx.send(Message::Control(Control::Eof));
                     }
                 }
@@ -1057,7 +1051,7 @@ impl Node {
 
     fn handle_downstream(&mut self, out: u32, ctrl: Control) {
         match ctrl {
-            Control::Ack { upto } => self.down[out as usize].data_tx.ack_upto(upto),
+            Control::Ack { upto } => self.send.down[out as usize].data_tx.ack_upto(upto),
             Control::ReplayRequest { from, token } => {
                 // Same incarnation asking for the same position again is
                 // the watchdog retrying over a slow lane: the first serve
@@ -1073,7 +1067,7 @@ impl Node {
                 self.obs
                     .journal
                     .record(Some(self.id.index()), JournalKind::ReplayServe { edge: out, from });
-                let sent = self.down[out as usize].data_tx.replay_from(from);
+                let sent = self.send.down[out as usize].data_tx.replay_from(from);
                 if sent > 0 {
                     self.served_replays[out as usize] = Some((token, from));
                 }
@@ -1149,8 +1143,9 @@ impl Node {
         }
     }
 
-    /// Routes one data event into processing, handling duplicates,
-    /// revisions, and non-speculative parking.
+    /// Routes one data event into processing: a copy of an open input
+    /// that differs from it supersedes it, and a non-speculative operator
+    /// parks a speculative one.
     fn accept_event(
         &mut self,
         port: u32,
@@ -1161,17 +1156,23 @@ impl Node {
         if let Some(c) = self.metrics.events_in.get(port as usize) {
             c.incr();
         }
-        // Revision of an in-flight speculative input?
+        // A copy of an open input. Links are FIFO and a sender only raises
+        // an output's version, so a copy that differs is the newer one: a
+        // revision, or a restarted sender's regenerated output, which
+        // starts again at version 0 and is finalized at that version.
         if let Some(pending) = self.pending.get(&event.id).cloned() {
-            let current = pending.input.lock().version;
-            if event.version > current {
+            let mut view = pending.input.lock();
+            if view.payload != event.payload {
+                drop(view);
                 self.revise_pending(&pending, event);
+                return;
             }
-            return; // same or older version: duplicate, silently dropped
-        }
-        // Duplicate of an already processed event (recovery replay): a
-        // finalized event can never legally be revised, so drop outright.
-        if self.processed.contains_key(&event.id) {
+            view.version = event.version;
+            if view.speculative && !event.speculative {
+                view.speculative = false;
+                drop(view);
+                maybe_authorize_pending(&pending);
+            }
             return;
         }
         if !self.config.speculative {
@@ -1180,10 +1181,36 @@ impl Node {
                 self.parked.insert(event.id, (port, event));
                 return;
             }
+            // A final version supersedes a parked older one.
+            if !self.parked.is_empty() {
+                self.parked.remove(&event.id);
+            }
             self.process_nonspec(port, event, replayed, queue_wait);
         } else {
             self.process_spec(port, event, replayed, queue_wait);
         }
+    }
+
+    /// Assigns the next serial to an input taken from `port`, opening its
+    /// trace span and journaling the ingest.
+    fn begin_input(&mut self, port: u32, trace: Option<TraceCtx>, queue_wait: Duration) -> u64 {
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        if let Some(ctx) = trace {
+            self.obs.tracer.begin_span(
+                ctx.id,
+                ctx.parent,
+                self.id.index(),
+                serial,
+                queue_wait.as_micros() as u64,
+            );
+        }
+        self.obs.journal.record_traced(
+            Some(self.id.index()),
+            trace.map(|c| c.id),
+            JournalKind::Ingest { serial, port },
+        );
+        serial
     }
 
     // -----------------------------------------------------------------
@@ -1203,47 +1230,22 @@ impl Node {
             // fault-free run. The window is a prefix of the replay and
             // skips `maybe_checkpoint`, so no save lands inside it.
             self.next_serial += 1;
-            self.processed.insert(event.id, ProcessedInfo { version: event.version });
             self.note_event_consumed(port, event.id);
             return;
         }
-        let serial = self.next_serial;
-        self.next_serial += 1;
+        let serial = self.begin_input(port, event.trace, queue_wait);
         let trace_id = event.trace.map(|c| c.id);
-        if let Some(ctx) = event.trace {
-            self.obs.tracer.begin_span(
-                ctx.id,
-                ctx.parent,
-                self.id.index(),
-                serial,
-                queue_wait.as_micros() as u64,
-            );
-        }
-        self.obs.journal.record_traced(
-            Some(self.id.index()),
-            trace_id,
-            JournalKind::Ingest { serial, port },
-        );
         let replaying = replayed.is_some();
         let mut decisions = DecisionRecord::new(serial);
         if self.up.len() > 1 {
             decisions.decisions.push(Determinant::InputChoice(port));
-        }
-        let mut replay_queue = None;
-        if let Some(rec) = replayed {
-            let mut q: VecDeque<Determinant> = rec.decisions.into();
-            // The input choice was consumed by the merge step.
-            if matches!(q.front(), Some(Determinant::InputChoice(_))) {
-                q.pop_front();
-            }
-            replay_queue = Some(q);
         }
         let mut ctx = OpCtx {
             registry: &self.registry,
             access: StateAccess::Plain,
             outputs: Vec::new(),
             decisions,
-            replay: replay_queue,
+            replay: replayed.map(DecisionRecord::into_replay),
             rng: &self.rng,
             clock: &self.clock,
             input_port: PortId(port),
@@ -1276,38 +1278,18 @@ impl Node {
         let decisions = std::mem::take(&mut ctx.decisions);
         drop(ctx);
 
-        self.processed.insert(event.id, ProcessedInfo { version: event.version });
         self.note_event_consumed(port, event.id);
 
+        // Hold outputs until the decision record is stable (§2.4).
         // Approximate mode trades the determinant log for the error
         // budget: bound-covered state never needs deterministic
         // re-execution (a budget refusal escalates to full replay, which
         // re-derives determinants live off the checkpointed RNG), so the
         // per-event stable-log wait disappears from the hot path.
-        let ticket = match (&self.log, replaying || self.approx.is_some()) {
-            (Some(log), false) if !decisions.is_empty() => {
-                // Hold outputs until the decision record is stable (§2.4).
-                let appended_at = Instant::now();
-                let ticket = log.append_batch(vec![encode_to_vec(&decisions)]);
-                // Control lane: the subscribe callback can fire
-                // synchronously on this very thread when the serial is
-                // already stable — a bounded lane would self-deadlock.
-                let intake = self.intake.ctrl_tx.clone();
-                let log_wait = self.metrics.log_wait_us.clone();
-                let tracer = event.trace.is_some().then(|| self.obs.tracer.clone());
-                let op = self.id.index();
-                let s = serial;
-                ticket.subscribe(move || {
-                    let waited = appended_at.elapsed();
-                    log_wait.record_duration(waited);
-                    if let Some(tracer) = &tracer {
-                        tracer.record_log_wait(op, s, waited.as_micros() as u64);
-                    }
-                    let _ = intake.send(Intake::LogStable { serial: s });
-                });
-                Some(ticket)
-            }
-            _ => None,
+        let ticket = if replaying || self.approx.is_some() {
+            None
+        } else {
+            self.send.log_decisions(&decisions, event.trace.is_some())
         };
         if ticket.is_some() || !self.hold_queue.is_empty() {
             // Outputs wait for their own record, or queue behind earlier
@@ -1355,8 +1337,8 @@ impl Node {
         }
         // Speculative mode: a stable log is one leg of the commit gate.
         if let Some(id) = self.pending_by_serial.get(&serial).cloned() {
-            if let Some(pending) = self.pending.get(&id).cloned() {
-                self.maybe_authorize(&pending);
+            if let Some(pending) = self.pending.get(&id) {
+                maybe_authorize_pending(pending);
             }
         }
         // A drained hold queue may unblock a deferred checkpoint.
@@ -1367,29 +1349,13 @@ impl Node {
     /// accumulate in per-edge buffers (payloads are shared via their
     /// `Arc`, not deep-copied) and go out as one `DataBatch` frame when a
     /// buffer reaches [`BATCH_MAX_EVENTS`] or the coordinator runs out of
-    /// intake work. An output whose id lies below its edge's frontier is a
-    /// re-executed copy of one already on the wire and is dropped: parked
-    /// at a fresh link sequence, a later downstream crash would replay it
-    /// as a new event.
+    /// intake work. Re-executed copies of outputs already on the wire are
+    /// dropped (see [`NodeSendView::admit`]).
     fn send_outputs_final(&mut self, outputs: Vec<(Event, Option<u32>)>) {
         for (event, target) in outputs {
-            for out in 0..self.down.len() {
-                if !target.map(|t| t as usize == out).unwrap_or(true) {
+            for out in 0..self.send.down.len() {
+                if !routed_to(target, out) || !self.send.admit(out, event.id) {
                     continue;
-                }
-                if event.id.seq < self.down[out].frontier.load(Ordering::Acquire) {
-                    self.suppressed[out] += 1;
-                    self.metrics.resend_suppressed.incr();
-                    continue;
-                }
-                if self.suppressed[out] > 0 {
-                    self.obs.journal.record(
-                        Some(self.id.index()),
-                        JournalKind::ResendSuppressed {
-                            edge: out as u32,
-                            count: std::mem::take(&mut self.suppressed[out]),
-                        },
-                    );
                 }
                 self.out_batch[out].push(event.clone());
                 if self.out_batch[out].len() >= BATCH_MAX_EVENTS {
@@ -1416,12 +1382,12 @@ impl Node {
     /// the edge's frontier past them.
     fn flush_edge(&mut self, out: usize) {
         let Some(last) = self.out_batch[out].last().map(|e| e.id.seq) else { return };
-        flush_run(&self.down[out].data_tx, &mut self.out_batch[out], &self.metrics.batch_events);
-        self.down[out].frontier.fetch_max(last + 1, Ordering::AcqRel);
+        flush_run(&self.send.down[out].data_tx, &mut self.out_batch[out], &self.send.batch_events);
+        self.send.down[out].frontier.fetch_max(last + 1, Ordering::AcqRel);
     }
 
     fn flush_out_batches(&mut self) {
-        for out in 0..self.down.len() {
+        for out in 0..self.send.down.len() {
             self.flush_edge(out);
         }
         self.advance_watermark();
@@ -1438,22 +1404,7 @@ impl Node {
         replayed: Option<DecisionRecord>,
         queue_wait: Duration,
     ) {
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        if let Some(ctx) = event.trace {
-            self.obs.tracer.begin_span(
-                ctx.id,
-                ctx.parent,
-                self.id.index(),
-                serial,
-                queue_wait.as_micros() as u64,
-            );
-        }
-        self.obs.journal.record_traced(
-            Some(self.id.index()),
-            event.trace.map(|c| c.id),
-            JournalKind::Ingest { serial, port },
-        );
+        let serial = self.begin_input(port, event.trace, queue_wait);
         let stm = self.stm.as_ref().expect("speculative node has an stm");
         let handle = stm.begin(Serial(serial));
         let pending = Arc::new(PendingTxn {
@@ -1499,13 +1450,7 @@ impl Node {
         let job = {
             let pending = pending.clone();
             move || {
-                let mut replay_queue = replayed.map(|rec| {
-                    let mut q: VecDeque<Determinant> = rec.decisions.into();
-                    if matches!(q.front(), Some(Determinant::InputChoice(_))) {
-                        q.pop_front();
-                    }
-                    q
-                });
+                let mut replay_queue = replayed.map(DecisionRecord::into_replay);
                 let body = |txn: &mut streammine_stm::Txn<'_>| -> Result<(), StmAbort> {
                     let view = pending.input.lock().clone();
                     let event = Event {
@@ -1558,26 +1503,11 @@ impl Node {
                 stm.reexecute(&pending.handle, body)
             }
         };
-        // NOTE: dispatching/post-processing is finished by the caller via
-        // `finish_attempt`, which must run on the coordinator; workers send
-        // the result back through the intake only implicitly (publish →
-        // outputs are sent directly from the worker below).
-        let this_intake = self.intake.ctrl_tx.clone();
-        let node_view = NodeSendView {
-            id: self.id,
-            down: self.down.iter().map(|d| d.data_tx.clone()).collect(),
-            log: self.log.clone(),
-            intake: this_intake,
-            journal: self.obs.journal.clone(),
-            tracer: self.obs.tracer.clone(),
-            spec_published: self.metrics.spec_published.clone(),
-            log_wait_us: self.metrics.log_wait_us.clone(),
-            batch_events: self.metrics.batch_events.clone(),
-            spec_retained: self.spec_retained.clone(),
-        };
+        // The attempt publishes its outputs straight from the worker.
+        let send = self.send.clone();
         let run = move || {
             if job().is_ok() {
-                node_view.after_publish(&pending);
+                send.after_publish(&pending);
             }
             // Only after the attempt's outputs are fully on the wire may
             // the commit gate re-open.
@@ -1603,62 +1533,71 @@ impl Node {
         self.spawn_attempt(pending.clone(), None);
     }
 
-    fn on_input_finalized(&mut self, id: EventId, version: u32) {
-        if let Some((port, event)) = self.parked.remove(&id) {
+    /// An upstream `Finalize`: the named version of input `id` is final,
+    /// whether it is parked, open or still queued on `port`.
+    fn on_input_finalized(&mut self, port: u32, id: EventId, version: u32) {
+        if self.parked.get(&id).is_some_and(|(_, e)| e.version == version) {
             // Non-speculative operator: the parked event is now final.
-            let mut event = event;
-            if event.version == version {
-                event.speculative = false;
-                self.accept_event(port, event, None, Duration::ZERO);
-            }
+            let (port, mut event) = self.parked.remove(&id).expect("parked");
+            event.speculative = false;
+            self.accept_event(port, event, None, Duration::ZERO);
             return;
         }
-        if let Some(pending) = self.pending.get(&id).cloned() {
-            let matches = {
-                let mut view = pending.input.lock();
-                if view.version == version {
-                    view.speculative = false;
-                    true
-                } else {
-                    false
-                }
-            };
-            if matches {
-                self.maybe_authorize(&pending);
+        if let Some(pending) = self.pending.get(&id) {
+            let mut view = pending.input.lock();
+            if view.version == version {
+                view.speculative = false;
+                drop(view);
+                maybe_authorize_pending(pending);
+                return;
             }
         }
+        // The event, or the revision the finalize names, is still queued.
+        self.settle_queued(port, id, Some(version));
     }
 
-    fn on_input_revoked(&mut self, id: EventId) {
+    /// An upstream `Revoke`: input `id` is withdrawn wherever it is held,
+    /// and an open transaction revokes its own outputs.
+    fn on_input_revoked(&mut self, port: u32, id: EventId) {
         self.parked.remove(&id);
+        self.settle_queued(port, id, None);
         if let Some(pending) = self.pending.remove(&id) {
             self.pending_by_txn.remove(&pending.handle.id());
             self.pending_by_serial.remove(&pending.serial);
-            // Revoke our outputs downstream, then drop the transaction.
             {
                 let sent = pending.sent.lock();
-                self.spec_retained.fetch_sub(sent.len() as i64, Ordering::Relaxed);
+                self.send.spec_retained.fetch_sub(sent.len() as i64, Ordering::Relaxed);
                 for (event, target) in sent.iter() {
-                    for (out, edge) in self.down.iter().enumerate() {
-                        if target.map(|t| t as usize == out).unwrap_or(true) {
-                            let _ = edge
-                                .data_tx
-                                .send(Message::Control(Control::Revoke { id: event.id }));
-                        }
-                    }
+                    self.send.send_control(event.id, *target, Control::Revoke { id: event.id });
                 }
             }
             pending.handle.discard();
         }
     }
 
-    fn maybe_authorize(&self, pending: &Arc<PendingTxn>) {
-        maybe_authorize_pending(pending);
+    /// Applies a `Finalize` of `version` (`Some`) or a `Revoke` (`None`) to
+    /// input `id` still queued on `port` (replay drains in logged order; a
+    /// reorder gap releases an event with its finalize). A lost finalize
+    /// would block every later serial behind an uncommittable one. The
+    /// newest queued copy is the one a finalize names, and the search
+    /// starts there: the input a sender finalizes is one it sent lately.
+    fn settle_queued(&mut self, port: u32, id: EventId, finalize: Option<u32>) {
+        let queue = &mut self.port_queues[port as usize];
+        match finalize {
+            Some(version) => {
+                let newest = queue.iter_mut().rev().find(|(_, e, _)| e.id == id);
+                if let Some((_, event, _)) = newest.filter(|(_, e, _)| e.version == version) {
+                    event.speculative = false;
+                }
+            }
+            None => queue.retain(|(_, e, _)| e.id != id),
+        }
     }
 
     fn on_txn_committed(&mut self, txn: TxnId) {
-        let Some(id) = self.pending_by_txn.get(&txn).cloned() else { return };
-        let Some(pending) = self.pending.get(&id).cloned() else { return };
+        let Some(id) = self.pending_by_txn.remove(&txn) else { return };
+        let Some(pending) = self.pending.remove(&id) else { return };
+        self.pending_by_serial.remove(&pending.serial);
         // Upgrade all sent outputs to final downstream. Holding the sent
         // lock while sending orders these finalizes after every attempt's
         // output diff and blocks any straggler diff from revising or
@@ -1669,19 +1608,17 @@ impl Node {
             pending.finalized.store(true, Ordering::Release);
             // Finalized outputs stop counting against the retained-
             // speculation admission cap.
-            self.spec_retained.fetch_sub(sent.len() as i64, Ordering::Relaxed);
+            self.send.spec_retained.fetch_sub(sent.len() as i64, Ordering::Relaxed);
             for (event, target) in sent.iter() {
-                if event.speculative {
-                    for (out, edge) in self.down.iter().enumerate() {
-                        if target.map(|t| t as usize == out).unwrap_or(true) {
-                            let _ = edge.data_tx.send(Message::Control(Control::Finalize {
-                                id: event.id,
-                                version: event.version,
-                            }));
-                        }
-                    }
-                }
+                let finalize = Control::Finalize { id: event.id, version: event.version };
+                self.send.send_control(event.id, *target, finalize);
             }
+        }
+        // Every serial below the lowest one still open has committed or
+        // was revoked, whatever order the commits took.
+        let open = self.pending_by_serial.keys().next().map_or(self.next_serial, |s| *s);
+        for edge in &self.send.down {
+            edge.note_commit(pending.serial, open, open << EMIT_BITS, &self.pending_by_serial);
         }
         self.metrics.spec_finalized.incr();
         let gate = pending.started.elapsed();
@@ -1694,11 +1631,6 @@ impl Node {
             pending.trace.map(|c| c.id),
             JournalKind::Commit { serial: pending.serial },
         );
-        let version = pending.input.lock().version;
-        self.processed.insert(id, ProcessedInfo { version });
-        self.pending.remove(&id);
-        self.pending_by_txn.remove(&txn);
-        self.pending_by_serial.remove(&pending.serial);
         self.events_since_checkpoint += 1;
         self.maybe_checkpoint();
     }
@@ -1771,7 +1703,7 @@ impl Node {
             .zip(&self.reorder)
             .map(|(q, r)| q.front().map(|(seq, _, _)| *seq).unwrap_or_else(|| r.next_seq()))
             .collect();
-        let covers_log = LogSeq(self.log.as_ref().map(|l| l.appended()).unwrap_or(0));
+        let covers_log = LogSeq(self.send.log.as_ref().map(|l| l.appended()).unwrap_or(0));
         // The serialized RNG goes into the checkpoint so the random stream
         // stays continuous across a crash (see `recover`).
         let rng_state = encode_to_vec(&*self.rng.lock());
@@ -1797,7 +1729,7 @@ impl Node {
             }
             approx.set_gauges(store.approx_loss(), self.next_serial);
         }
-        if let Some(log) = &self.log {
+        if let Some(log) = &self.send.log {
             log.truncate_below(covers_log);
         }
         for (port, edge) in self.up.iter().enumerate() {
@@ -1807,23 +1739,101 @@ impl Node {
     }
 }
 
-/// The subset of node context a worker thread needs after a transaction
-/// publishes: assign output ids, send them, log decisions, arm the gate.
+/// The node's sending side, shared by the coordinator and the worker
+/// threads that publish speculative attempts: out-edges with their
+/// output-id frontiers, the decision log, and the metrics both touch.
 struct NodeSendView {
     id: OperatorId,
-    down: Vec<streammine_net::ResilientSender<Message>>,
+    down: Vec<DownEdge>,
     log: Option<StableLog>,
+    /// Control lane of the node's own intake (log-stability callbacks).
     intake: IntakeSender,
     journal: Arc<Journal>,
     tracer: Arc<Tracer>,
+    /// Speculative outputs published before log stability.
     spec_published: Counter,
+    /// Re-executed outputs swallowed because they were already final
+    /// downstream.
+    resend_suppressed: Counter,
+    /// Append-to-stable latency of decision-log writes, as observed by the
+    /// commit gate (the paper's "one parallel log write" leg).
     log_wait_us: Histogram,
+    /// Events per outgoing data frame (micro-batching effectiveness).
     batch_events: Histogram,
-    /// Shared retained-speculative-output count (admission control input).
-    spec_retained: Arc<AtomicI64>,
+    /// Per-down-edge regenerated outputs dropped since the last journaled
+    /// `ResendSuppressed`.
+    suppressed: Vec<AtomicU64>,
+    /// Running count of published-but-unfinalized speculative output
+    /// events across all pending transactions (updated by worker threads
+    /// in `after_publish`, decremented on commit/revoke). Drives the
+    /// `max_retained_spec_outputs` admission cap without walking `pending`
+    /// on the hot path.
+    spec_retained: AtomicI64,
 }
 
 impl NodeSendView {
+    /// Whether output `id` is already final downstream of edge `out`.
+    fn final_downstream(&self, out: usize, id: EventId) -> bool {
+        self.down[out].is_final(id.seq, id.seq >> EMIT_BITS)
+    }
+
+    /// Whether output `id` goes on edge `out` as data. A re-executed copy
+    /// of an output already final downstream is counted instead (re-sent,
+    /// a later downstream crash would replay it as a new event); the first
+    /// output past a dropped run journals the run's length.
+    fn admit(&self, out: usize, id: EventId) -> bool {
+        if self.final_downstream(out, id) {
+            self.suppressed[out].fetch_add(1, Ordering::Relaxed);
+            self.resend_suppressed.incr();
+            return false;
+        }
+        if self.suppressed[out].load(Ordering::Relaxed) > 0 {
+            let count = self.suppressed[out].swap(0, Ordering::Relaxed);
+            if count > 0 {
+                self.journal.record(
+                    Some(self.id.index()),
+                    JournalKind::ResendSuppressed { edge: out as u32, count },
+                );
+            }
+        }
+        true
+    }
+
+    /// Sends `ctrl`, the finalize or revoke of output `id`, on every edge
+    /// the output is routed to — except where a previous incarnation
+    /// already made it final downstream.
+    fn send_control(&self, id: EventId, target: Option<u32>, ctrl: Control) {
+        for (out, edge) in self.down.iter().enumerate() {
+            if routed_to(target, out) && !self.final_downstream(out, id) {
+                edge.data_tx.send(Message::Control(ctrl.clone()));
+            }
+        }
+    }
+
+    /// Appends an input's decision record to the log, unless it is empty
+    /// or the node logs nothing. The ticket reports stability as
+    /// [`Intake::LogStable`] on the control lane: the callback can fire
+    /// synchronously on this very thread when the record is already
+    /// stable, and a bounded lane would self-deadlock.
+    fn log_decisions(&self, decisions: &DecisionRecord, traced: bool) -> Option<LogTicket> {
+        let log = self.log.as_ref().filter(|_| !decisions.is_empty())?;
+        let appended_at = Instant::now();
+        let ticket = log.append_batch(vec![encode_to_vec(decisions)]);
+        let intake = self.intake.clone();
+        let log_wait = self.log_wait_us.clone();
+        let tracer = traced.then(|| self.tracer.clone());
+        let (op, serial) = (self.id.index(), decisions.serial);
+        ticket.subscribe(move || {
+            let waited = appended_at.elapsed();
+            log_wait.record_duration(waited);
+            if let Some(tracer) = &tracer {
+                tracer.record_log_wait(op, serial, waited.as_micros() as u64);
+            }
+            let _ = intake.send(Intake::LogStable { serial });
+        });
+        Some(ticket)
+    }
+
     fn after_publish(&self, pending: &Arc<PendingTxn>) {
         let (generation, outputs, decisions) = match pending.attempt.lock().take() {
             Some(x) => x,
@@ -1837,7 +1847,6 @@ impl NodeSendView {
         // the configured commit order is precisely when nothing can change
         // anymore. For gate-ready transactions the commit — and thus the
         // finalize — follows within microseconds.
-        let must_log = !decisions.is_empty() && self.log.is_some();
         let child = pending.trace.map(|c| c.child(span_key(self.id.index(), pending.serial)));
         let new_events =
             assign_output_ids(self.id, pending.serial, pending.input_ts, &outputs, true, child);
@@ -1898,21 +1907,25 @@ impl NodeSendView {
             for (out, edge) in self.down.iter().enumerate() {
                 let mut run: Vec<Event> = Vec::new();
                 for (msg, target) in &to_send {
-                    if !target.map(|t| t as usize == out).unwrap_or(true) {
+                    if !routed_to(*target, out) {
                         continue;
                     }
                     match msg {
                         Message::Data(e) => {
-                            run.push(e.clone());
-                            published += 1;
+                            if self.admit(out, e.id) {
+                                run.push(e.clone());
+                                published += 1;
+                            }
                         }
+                        Message::Control(Control::Revoke { id })
+                            if self.final_downstream(out, *id) => {}
                         other => {
-                            flush_run(edge, &mut run, &self.batch_events);
-                            edge.send(other.clone());
+                            flush_run(&edge.data_tx, &mut run, &self.batch_events);
+                            edge.data_tx.send(other.clone());
                         }
                     }
                 }
-                flush_run(edge, &mut run, &self.batch_events);
+                flush_run(&edge.data_tx, &mut run, &self.batch_events);
             }
             if published > 0 {
                 self.spec_published.add(published);
@@ -1928,27 +1941,7 @@ impl NodeSendView {
             // its decisions after (or instead of) a newer attempt's —
             // recovery replays the *last* record per serial, which must be
             // the surviving generation's.
-            if must_log {
-                let log = self.log.as_ref().expect("must_log implies log");
-                let appended_at = Instant::now();
-                let ticket = log.append_batch(vec![encode_to_vec(&decisions)]);
-                let intake = self.intake.clone();
-                let log_wait = self.log_wait_us.clone();
-                let tracer = pending.trace.is_some().then(|| self.tracer.clone());
-                let op = self.id.index();
-                let serial = pending.serial;
-                ticket.subscribe(move || {
-                    let waited = appended_at.elapsed();
-                    log_wait.record_duration(waited);
-                    if let Some(tracer) = &tracer {
-                        tracer.record_log_wait(op, serial, waited.as_micros() as u64);
-                    }
-                    let _ = intake.send(Intake::LogStable { serial });
-                });
-                *pending.log_ticket.lock() = Some(ticket);
-            } else {
-                *pending.log_ticket.lock() = None;
-            }
+            *pending.log_ticket.lock() = self.log_decisions(&decisions, pending.trace.is_some());
         }
     }
 }
@@ -1969,6 +1962,12 @@ fn flush_run(
     };
     batch_events.record(msg.event_count() as u64);
     edge.send(msg);
+}
+
+/// Whether an output routed to `target` goes on edge `out` (`None`: on
+/// every edge).
+fn routed_to(target: Option<u32>, out: usize) -> bool {
+    target.is_none_or(|t| t as usize == out)
 }
 
 /// Opens the commit gate when (and only when) every condition holds: the

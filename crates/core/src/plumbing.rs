@@ -26,14 +26,15 @@
 //! links, sequence counters and retained output buffers are exactly the
 //! state that lives *outside* the failed process in the paper's model.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{RecvTimeoutError, TryRecvError};
+use parking_lot::Mutex;
 use streammine_net::{LinkReceiver, ResilientSender};
 use streammine_stm::TxnId;
 
@@ -76,20 +77,101 @@ pub(crate) enum NodeCommand {
 pub(crate) struct DownEdge {
     /// Data + finalize/revoke to the receiver.
     pub data_tx: ResilientSender<Message>,
-    /// Output-id frontier of this edge: one past the id sequence of the
-    /// last data event ever put on it, across every incarnation of the
-    /// sending node. Output ids derive from input serials and the edge is
-    /// fed in serial order, so every id below the frontier is on the wire.
-    /// Lives outside the node like the link itself (a restarted worker
-    /// process learns it from the receiver's `Welcome`), so a recovering
-    /// node drops each regenerated output whose id lies below it.
+    /// Output-id frontier of this edge: every output id below it is final
+    /// downstream, across every incarnation of the sending node. Output
+    /// ids derive from input serials (see `node::assign_output_ids`), so
+    /// the frontier is a serial boundary. A non-speculative sender feeds
+    /// the edge final outputs in serial order and moves the frontier one
+    /// past the last id it sent. A speculative sender sends before
+    /// outputs are final, so it moves the frontier at each commit instead,
+    /// to the lowest serial still open. Lives outside the node like the
+    /// link itself (a restarted worker process learns it from the
+    /// receiver's `Welcome`), so a recovering node sends nothing for a
+    /// regenerated output whose id lies below it: no data, no finalize,
+    /// no revoke.
     pub frontier: Arc<AtomicU64>,
+    /// Serials at or above the frontier that committed all the same:
+    /// under `CommitOrder::Conflict` a speculative sender can commit a
+    /// serial while an earlier one is still open. Survives a restart in
+    /// the same process like the frontier (speculation does not cross
+    /// processes), and suppresses a regenerated output the same way.
+    pub committed_ahead: Arc<Mutex<CommittedAhead>>,
 }
 
 impl DownEdge {
     /// An edge nothing has been sent on yet.
     pub fn new(data_tx: ResilientSender<Message>) -> DownEdge {
-        DownEdge { data_tx, frontier: Arc::new(AtomicU64::new(0)) }
+        DownEdge {
+            data_tx,
+            frontier: Arc::new(AtomicU64::new(0)),
+            committed_ahead: Arc::new(Mutex::new(CommittedAhead::default())),
+        }
+    }
+
+    /// Whether the output with id sequence `seq`, of input serial
+    /// `serial`, is final downstream. The frontier is read again under the
+    /// lock, which a commit holds while it moves a serial past it.
+    pub fn is_final(&self, seq: u64, serial: u64) -> bool {
+        if seq < self.frontier.load(Ordering::Acquire) {
+            return true;
+        }
+        let ahead = self.committed_ahead.lock();
+        ahead.covers(serial) || seq < self.frontier.load(Ordering::Acquire)
+    }
+
+    /// Records a speculative sender's commit of `serial`, once its
+    /// finalizes are on this edge: the frontier moves to `frontier`, the
+    /// first id of `lowest_open`, the lowest serial still open (`open`
+    /// holds them all).
+    pub fn note_commit<V>(
+        &self,
+        serial: u64,
+        lowest_open: u64,
+        frontier: u64,
+        open: &BTreeMap<u64, V>,
+    ) {
+        let mut ahead = self.committed_ahead.lock();
+        self.frontier.fetch_max(frontier, Ordering::AcqRel);
+        ahead.commit(serial, lowest_open, open);
+    }
+}
+
+/// The serials a speculative sender committed out of serial order, kept
+/// as the complement within a mark: every serial below `mark` committed
+/// except those in `open`. Only open transactions enter `open`, so it
+/// stays within `max_open_speculations` plus revoked inputs, however many
+/// serials commit while an earlier one waits.
+#[derive(Debug, Default)]
+pub(crate) struct CommittedAhead {
+    /// One past the highest committed serial.
+    pub mark: u64,
+    /// Serials below `mark` not committed (open, or revoked).
+    pub open: BTreeSet<u64>,
+}
+
+impl CommittedAhead {
+    /// Whether `serial` committed.
+    pub fn covers(&self, serial: u64) -> bool {
+        serial < self.mark && !self.open.contains(&serial)
+    }
+
+    /// Records the commit of `serial`, with `lowest_open` the lowest serial
+    /// still open (the edge's frontier) and `open` every open serial. A
+    /// raised mark takes in the open serials it passes; serials below the
+    /// frontier are forgotten.
+    pub fn commit<V>(&mut self, serial: u64, lowest_open: u64, open: &BTreeMap<u64, V>) {
+        if serial < self.mark {
+            self.open.remove(&serial);
+        } else {
+            if lowest_open < serial {
+                let passed = open.range(self.mark.max(lowest_open)..serial);
+                self.open.extend(passed.map(|(s, _)| *s));
+            }
+            self.mark = serial + 1;
+        }
+        while self.open.first().is_some_and(|s| *s < lowest_open) {
+            self.open.pop_first();
+        }
     }
 }
 
@@ -520,5 +602,28 @@ mod tests {
         assert!(matches!(second, Intake::Upstream { link_seq: 1, .. }));
         let third = intake.recv_timeout(Duration::from_secs(5), true).unwrap();
         assert!(matches!(third, Intake::Upstream { link_seq: 2, .. }));
+    }
+
+    #[test]
+    fn committed_ahead_holds_only_open_serials() {
+        let mut ahead = CommittedAhead::default();
+        // Serial 0 stays open while 1..=100 commit out of order.
+        let open: BTreeMap<u64, ()> = [(0, ())].into_iter().collect();
+        for serial in 1..=100 {
+            ahead.commit(serial, 0, &open);
+        }
+        assert!((1..=100).all(|s| ahead.covers(s)));
+        assert!(!ahead.covers(0) && !ahead.covers(101));
+        assert_eq!(ahead.open.len(), 1);
+        // Serial 102 commits past open 101; then 0 and 101 commit.
+        let open: BTreeMap<u64, ()> = [(0, ()), (101, ())].into_iter().collect();
+        ahead.commit(102, 0, &open);
+        assert!(!ahead.covers(101) && ahead.covers(102));
+        let open: BTreeMap<u64, ()> = [(101, ())].into_iter().collect();
+        ahead.commit(0, 101, &open);
+        assert!(ahead.covers(0) && ahead.open.len() == 1);
+        ahead.commit(101, 103, &BTreeMap::<u64, ()>::new());
+        assert!(ahead.open.is_empty());
+        assert!(ahead.covers(101) && !ahead.covers(103));
     }
 }

@@ -306,3 +306,36 @@ fn speculation_cap_paces_without_aborting() {
     assert_stalls_reconcile(&running);
     running.shutdown();
 }
+
+/// A capped speculative operator behind a speculative upstream: its open
+/// transactions wait for the upstream's finalizes, which travel behind
+/// data on the same link. The cap stall must keep pulling that link, or
+/// no open transaction can ever commit.
+#[test]
+fn speculation_cap_behind_a_speculative_upstream_still_commits() {
+    const N: usize = 64;
+    let mut b = GraphBuilder::new();
+    // The slow upstream log lets all of its data go out before the first
+    // finalize does.
+    let upstream = OperatorConfig::speculative(LoggingConfig::simulated(Duration::from_millis(2)));
+    let capped = OperatorConfig::speculative(LoggingConfig::simulated(Duration::ZERO))
+        .with_node(NodeConfig { max_open_speculations: 4, ..NodeConfig::default() });
+    let op0 = b.add_operator(RandomTagger, upstream);
+    let op1 = b.add_operator(RandomTagger, capped);
+    b.connect(op0, op1).unwrap();
+    let src = b.source_into(op0).unwrap();
+    let sink = b.sink_from(op1).unwrap();
+    let running = b.build().unwrap().start();
+    for i in 0..N {
+        running.source(src).push(Value::Int(i as i64));
+    }
+    assert!(
+        running.sink(sink).wait_final(N, Duration::from_secs(30)),
+        "capped operator stalled at {}/{N}\n{}",
+        running.sink(sink).final_count(),
+        running.journal_dump()
+    );
+    assert!(running.metrics().counter("spec.cap_hits", Labels::op(1)).unwrap_or(0) >= 1);
+    assert_stalls_reconcile(&running);
+    running.shutdown();
+}

@@ -19,13 +19,21 @@ const FAST_LOG: Duration = Duration::from_micros(200);
 const SEEDS: u64 = 16;
 const STEPS: u64 = 36;
 
-/// src → tagger → tagger → tagger → sink: three hops, all logged
-/// non-speculative with checkpoints (so chaos exercises checkpoint restore,
-/// log replay, and upstream replay at every depth).
-fn pipeline() -> (Running, SourceId, SinkId) {
+/// A logged non-speculative operator checkpointing every 7 inputs.
+fn logged() -> OperatorConfig {
+    OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG)).with_checkpoint_every(7)
+}
+
+/// A logged speculative operator checkpointing every 7 inputs.
+fn speculative() -> OperatorConfig {
+    OperatorConfig::speculative(LoggingConfig::simulated(FAST_LOG)).with_checkpoint_every(7)
+}
+
+/// src → tagger → tagger → tagger → sink: three hops, all logged with
+/// checkpoints (so chaos exercises checkpoint restore, log replay, and
+/// upstream replay at every depth), each operator configured by `cfg`.
+fn pipeline(cfg: fn() -> OperatorConfig) -> (Running, SourceId, SinkId) {
     let mut b = GraphBuilder::new();
-    let cfg =
-        || OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG)).with_checkpoint_every(7);
     let op0 = b.add_operator(RandomTagger, cfg());
     let op1 = b.add_operator(RandomTagger, cfg());
     let op2 = b.add_operator(RandomTagger, cfg());
@@ -43,8 +51,8 @@ fn payloads(events: &[Event]) -> Vec<Value> {
 /// Runs the pipeline without faults and returns its outputs (ordered by
 /// event id). Operator RNG seeds are a deterministic function of the graph,
 /// so this is *the* failure-free answer for every chaos run below.
-fn failure_free_reference() -> Vec<Value> {
-    let (running, src, sink) = pipeline();
+fn failure_free_reference(cfg: fn() -> OperatorConfig) -> Vec<Value> {
+    let (running, src, sink) = pipeline(cfg);
     for i in 0..STEPS {
         running.source(src).push(Value::Int(i as i64));
     }
@@ -57,12 +65,20 @@ fn failure_free_reference() -> Vec<Value> {
 /// The headline property: for a grid of seeds, a random fault schedule
 /// (with supervised auto-restart — no manual `recover()` anywhere) produces
 /// outputs byte-identical to the failure-free run, and the fault timeline
-/// itself is reproducible from `(seed, steps, topology)`.
+/// itself is reproducible from `(seed, steps, topology)` — for a pipeline
+/// of non-speculative operators and for one of speculative operators.
 #[test]
 fn chaos_grid_preserves_precise_outputs() {
-    let reference = failure_free_reference();
+    for (mode, cfg) in [("logged", logged as fn() -> OperatorConfig), ("speculative", speculative)]
+    {
+        chaos_grid(mode, cfg);
+    }
+}
+
+fn chaos_grid(mode: &str, cfg: fn() -> OperatorConfig) {
+    let reference = failure_free_reference(cfg);
     for seed in 0..SEEDS {
-        let (running, src, sink) = pipeline();
+        let (running, src, sink) = pipeline(cfg);
         let config = SupervisorConfig::aggressive();
         let supervisor = running.supervise(config.clone());
         let topo = Topology::probe(&running);
@@ -84,7 +100,7 @@ fn chaos_grid_preserves_precise_outputs() {
 
         assert!(
             running.sink(sink).wait_final(STEPS as usize, Duration::from_secs(60)),
-            "seed {seed}: stalled at {}/{} under plan {}",
+            "{mode} seed {seed}: stalled at {}/{} under plan {}",
             running.sink(sink).final_count(),
             STEPS,
             sched.plan()
@@ -93,7 +109,7 @@ fn chaos_grid_preserves_precise_outputs() {
         assert_eq!(
             out,
             reference,
-            "seed {seed}: outputs diverged from the failure-free run under plan {}",
+            "{mode} seed {seed}: outputs diverged from the failure-free run under plan {}",
             sched.plan()
         );
 
@@ -101,7 +117,7 @@ fn chaos_grid_preserves_precise_outputs() {
         // recorded backoff matches the capped exponential schedule.
         assert!(
             supervisor.restarts() >= crashes,
-            "seed {seed}: {} supervised restarts for {crashes} crashes",
+            "{mode} seed {seed}: {} supervised restarts for {crashes} crashes",
             supervisor.restarts()
         );
         for ev in supervisor.events() {
@@ -117,7 +133,7 @@ fn chaos_grid_preserves_precise_outputs() {
             &supervisor.events(),
             &running.obs().journal.events(),
         )
-        .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", running.journal_dump()));
+        .unwrap_or_else(|e| panic!("{mode} seed {seed}: {e}\n{}", running.journal_dump()));
         running.shutdown();
     }
 }
@@ -130,9 +146,9 @@ fn chaos_grid_preserves_precise_outputs() {
 /// also reconcile with the metrics registry.
 #[test]
 fn network_nemesis_grid_preserves_precise_outputs() {
-    let reference = failure_free_reference();
+    let reference = failure_free_reference(logged);
     for seed in 0..SEEDS {
-        let (running, src, sink) = pipeline();
+        let (running, src, sink) = pipeline(logged);
         let topo = Topology::probe(&running);
         assert_eq!(topo.sinks, 1, "probe must see the sink");
         let plan = FaultPlan::random_network(seed, STEPS, &topo);
@@ -175,7 +191,7 @@ fn network_nemesis_grid_preserves_precise_outputs() {
 /// state) and restarts the node — the test never calls `recover()`.
 #[test]
 fn supervisor_restarts_crashed_node_without_manual_recover() {
-    let (running, src, sink) = pipeline();
+    let (running, src, sink) = pipeline(logged);
     let config = SupervisorConfig::aggressive();
     let supervisor = running.supervise(config.clone());
     let op1 = OperatorId::new(1);
@@ -273,13 +289,25 @@ fn torn_log_tail_recovers_without_panic() {
 /// downstream crash replayed them from its pre-duplicate checkpoint.
 #[test]
 fn upstream_replay_does_not_duplicate_outputs_after_downstream_crash() {
+    for speculative in [false, true] {
+        replay_after_upstream_recovery(speculative);
+    }
+}
+
+/// The scenario above with a non-speculative or a `speculative` op0.
+fn replay_after_upstream_recovery(speculative: bool) {
     let build = || {
         let mut b = GraphBuilder::new();
         // op0 never checkpoints: its recovery replays from the beginning,
         // maximizing the re-sent window. op1 checkpoints, so its own
         // recovery replays from a position *before* any duplicates.
-        let op0 = b
-            .add_operator(RandomTagger, OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG)));
+        let log = LoggingConfig::simulated(FAST_LOG);
+        let op0_cfg = if speculative {
+            OperatorConfig::speculative(log)
+        } else {
+            OperatorConfig::logged(log)
+        };
+        let op0 = b.add_operator(RandomTagger, op0_cfg);
         let op1 = b.add_operator(
             RandomTagger,
             OperatorConfig::logged(LoggingConfig::simulated(FAST_LOG)).with_checkpoint_every(7),
@@ -320,13 +348,17 @@ fn upstream_replay_does_not_duplicate_outputs_after_downstream_crash() {
     }
     assert!(
         running.sink(sink).wait_final(24, Duration::from_secs(30)),
-        "stalled at {}/24",
+        "stalled at {}/24 (speculative op0: {speculative})",
         running.sink(sink).final_count()
     );
     // Let any late duplicates land before counting.
     std::thread::sleep(Duration::from_millis(50));
     let out = payloads(&running.sink(sink).final_events_by_id());
-    assert_eq!(out.len(), expected.len(), "duplicated outputs after downstream crash");
+    assert_eq!(
+        out.len(),
+        expected.len(),
+        "duplicated outputs after downstream crash (speculative op0: {speculative})"
+    );
     assert_eq!(out, expected);
     running.shutdown();
 }
@@ -465,8 +497,8 @@ fn traced_rollback_under_chaos_names_determinant_and_blast_radius() {
 #[test]
 fn scripted_sever_and_stall_only_delay_outputs() {
     use streammine::chaos::{FaultEvent, FaultKind};
-    let reference = failure_free_reference();
-    let (running, src, sink) = pipeline();
+    let reference = failure_free_reference(logged);
+    let (running, src, sink) = pipeline(logged);
     let plan = FaultPlan::scripted(vec![
         FaultEvent { step: 4, kind: FaultKind::SeverData { edge: 1 } },
         FaultEvent { step: 6, kind: FaultKind::DiskStall { op: 0, millis: 5 } },

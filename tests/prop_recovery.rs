@@ -6,7 +6,8 @@
 //!
 //! Both guarantees must hold for every operator shape the `Operator` API
 //! admits, so each generated case runs against four shapes: a 1:1
-//! operator, a filter, a 1:2 fan-out, and a two-way split.
+//! operator, a filter, a 1:2 fan-out, and a two-way split. Precise
+//! recovery must also hold whether the operator speculates or not.
 
 use std::time::{Duration, Instant};
 
@@ -234,24 +235,33 @@ proptest! {
         crash_frac in 0.2f64..0.9,
         checkpoint in prop_oneof![Just(None), Just(Some(4u64)), Just(Some(7u64))],
     ) {
-        let mut cfg = OperatorConfig::logged(LoggingConfig::simulated(Duration::from_micros(200)));
-        if let Some(every) = checkpoint {
-            cfg = cfg.with_checkpoint_every(every);
-        }
         let crash_at = ((values.len() as f64) * crash_frac) as usize;
-        for shape in SHAPES {
-            let baseline = shaped_run(shape, cfg.clone(), &values, None);
-            let recovered = shaped_run(shape, cfg.clone(), &values, Some(crash_at));
-            // Precise: byte-identical to the fault-free run on every sink —
-            // the logged random draws and routing included.
-            prop_assert_eq!(
-                &recovered.per_sink, &baseline.per_sink,
-                "{:?} crashed at {}: outputs diverged", shape, crash_at
-            );
-            prop_assert_eq!(
-                recovered.sent, recovered.merged().len() as u64,
-                "{:?} crashed at {}: an output went on the wire twice", shape, crash_at
-            );
+        for speculative in [false, true] {
+            let log = LoggingConfig::simulated(Duration::from_micros(200));
+            let mut cfg = if speculative {
+                OperatorConfig::speculative(log)
+            } else {
+                OperatorConfig::logged(log)
+            };
+            if let Some(every) = checkpoint {
+                cfg = cfg.with_checkpoint_every(every);
+            }
+            for shape in SHAPES {
+                let baseline = shaped_run(shape, cfg.clone(), &values, None);
+                let recovered = shaped_run(shape, cfg.clone(), &values, Some(crash_at));
+                // Precise: byte-identical to the fault-free run on every
+                // sink — the logged random draws and routing included.
+                prop_assert_eq!(
+                    &recovered.per_sink, &baseline.per_sink,
+                    "{:?} (speculative: {}) crashed at {}: outputs diverged",
+                    shape, speculative, crash_at
+                );
+                prop_assert_eq!(
+                    recovered.sent, recovered.merged().len() as u64,
+                    "{:?} (speculative: {}) crashed at {}: an output went on the wire twice",
+                    shape, speculative, crash_at
+                );
+            }
         }
     }
 

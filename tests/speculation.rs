@@ -1,6 +1,8 @@
 //! Speculation integration tests: the paper's §3 behaviours observed
 //! end-to-end through the engine.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use streammine::common::event::{Event, Value};
@@ -8,7 +10,7 @@ use streammine::common::ids::OperatorId;
 use streammine::core::{
     GraphBuilder, LoggingConfig, OpCtx, Operator, OperatorConfig, Running, SinkId, SourceId,
 };
-use streammine::operators::{Classifier, StampedRelay};
+use streammine::operators::{Classifier, RandomTagger, StampedRelay};
 use streammine::stm::StmAbort;
 
 fn pipeline(depth: usize, speculative: bool, log_latency: Duration) -> (Running, SourceId, SinkId) {
@@ -162,7 +164,16 @@ fn revoked_speculative_input_revokes_downstream_output() {
 fn final_event_overtakes_unrelated_speculation() {
     // §3.1's no-collision case: E1′ (speculative) touches class A, E2
     // (final) touches class B — E2's output must finalize without waiting
-    // for E1's log/finalize.
+    // for E1's log/finalize. With `crash`, the classifier crashes while E1
+    // is still open: E2's output committed ahead of it, so the recovered
+    // classifier must not send it again, or the operator downstream takes
+    // it as a new input.
+    for crash in [false, true] {
+        overtake_open_speculation(crash);
+    }
+}
+
+fn overtake_open_speculation(crash: bool) {
     let mut b = GraphBuilder::new();
     // The paper's out-of-order finalization (§3.1) needs the aggressive
     // commit order: a later independent transaction may commit while the
@@ -171,11 +182,18 @@ fn final_event_overtakes_unrelated_speculation() {
         commit_order: streammine::stm::CommitOrder::Conflict,
         ..Default::default()
     };
-    let c =
-        b.add_operator(Classifier::new(64), OperatorConfig::speculative_unlogged().with_stm(stm));
+    // Precise recovery of a two-input operator needs its merge order logged.
+    let cfg = if crash {
+        OperatorConfig::speculative(LoggingConfig::simulated(Duration::from_micros(200)))
+    } else {
+        OperatorConfig::speculative_unlogged()
+    };
+    let c = b.add_operator(Classifier::new(64), cfg.with_stm(stm));
+    let tagger = b.add_operator(RandomTagger, OperatorConfig::plain());
+    b.connect(c, tagger).unwrap();
     let spec_src = b.source_into(c).unwrap();
     let final_src = b.source_into(c).unwrap();
-    let sink = b.sink_from(c).unwrap();
+    let sink = b.sink_from(tagger).unwrap();
     let running = b.build().unwrap().start();
 
     // Find two payloads in different classes.
@@ -202,9 +220,20 @@ fn final_event_overtakes_unrelated_speculation() {
         "independent final event must not be blocked by open speculation"
     );
     assert_eq!(running.sink(sink).final_count(), 1);
+    if crash {
+        running.crash(OperatorId::new(0));
+        running.recover(OperatorId::new(0));
+        std::thread::sleep(Duration::from_millis(100));
+    }
     // Now confirm E1.
     running.source(spec_src).finalize(spec_id, 0);
     assert!(running.sink(sink).wait_final(2, Duration::from_secs(10)));
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        running.sink(sink).final_count(),
+        2,
+        "an input reached the tagger twice (crash: {crash})"
+    );
     running.shutdown();
 }
 
@@ -320,4 +349,125 @@ fn speculative_union_merge_order_survives_crash() {
         assert_eq!(post.payload, pre.payload, "merge order diverged for {}", pre.id);
     }
     running.shutdown();
+}
+
+#[test]
+fn speculative_restart_behind_long_history_finalizes_every_event() {
+    // Regression: a speculative relay restarted behind 300 events of
+    // history replays more frames than its upstream's replay reserve
+    // holds, so inputs and their finalizes reach it in bursts while it
+    // drains in logged order. A finalize whose input was still queued was
+    // lost; that input's transaction never committed, and commit order
+    // then blocked every later one.
+    const HISTORY: usize = 300;
+    const AFTER: usize = 100;
+    let (running, src, sink) = pipeline(2, true, Duration::ZERO);
+    for i in 0..HISTORY {
+        running.source(src).push(Value::Int(i as i64));
+    }
+    assert!(running.sink(sink).wait_final(HISTORY, Duration::from_secs(20)));
+    let relay = OperatorId::new(1);
+    running.crash(relay);
+    running.recover(relay);
+    for i in HISTORY..HISTORY + AFTER {
+        running.source(src).push(Value::Int(i as i64));
+    }
+    assert!(
+        running.sink(sink).wait_final(HISTORY + AFTER, Duration::from_secs(30)),
+        "only {} of {} final after the restart",
+        running.sink(sink).final_count(),
+        HISTORY + AFTER
+    );
+    assert_eq!(running.sink(sink).final_events_by_id().len(), HISTORY + AFTER);
+    running.shutdown();
+}
+
+/// Running sum of its inputs. While `delay_one` is set, input 1 waits
+/// before it touches the sum, so an input processed beside it on the other
+/// thread reads the sum too early and is rolled back; while it is clear,
+/// every other input waits instead, and each runs once.
+struct LateSum {
+    sum: parking_lot::Mutex<Option<streammine::core::StateHandle<i64>>>,
+    delay_one: Arc<AtomicBool>,
+}
+
+impl Operator for LateSum {
+    fn setup(&self, ctx: &mut streammine::core::SetupCtx<'_>) {
+        *self.sum.lock() = Some(ctx.state(0i64));
+    }
+    fn process(&self, ctx: &mut OpCtx<'_, '_>, ev: &Event) -> Result<(), StmAbort> {
+        let handle = self.sum.lock().expect("setup ran");
+        let v = ev.payload.as_i64().unwrap_or(0);
+        if (v == 1) == self.delay_one.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        ctx.update(handle, |s| s + v)?;
+        let sum = *ctx.get(handle)?;
+        ctx.emit(Value::Int(sum));
+        Ok(())
+    }
+}
+
+#[test]
+fn speculative_sender_crash_after_a_rollback_finalizes_the_revised_output() {
+    // A speculative sender rolls back an open transaction, so a revision
+    // (version 1) of its output goes out, and crashes before the commit.
+    // Recovered, it runs the transaction once and sends and finalizes the
+    // output at version 0. The receiver — a speculative relay, or the sink
+    // itself — must take that copy as the newer one: a finalize of version
+    // 0 that it ignored left the input open forever.
+    for relay in [true, false] {
+        let delay_one = Arc::new(AtomicBool::new(true));
+        let mut b = GraphBuilder::new();
+        let op = b.add_operator(
+            LateSum { sum: Default::default(), delay_one: delay_one.clone() },
+            OperatorConfig::speculative(LoggingConfig::simulated(Duration::from_micros(200)))
+                .with_threads(2),
+        );
+        let last = if relay {
+            let r = b.add_operator(
+                StampedRelay::new(),
+                OperatorConfig::speculative(LoggingConfig::simulated(Duration::from_micros(200))),
+            );
+            b.connect(op, r).unwrap();
+            r
+        } else {
+            op
+        };
+        let src = b.source_into(op).unwrap();
+        let sink = b.sink_from(last).unwrap();
+        let running = b.build().unwrap().start();
+
+        // Input 10 reads the sum before input 1 adds to it (output 10),
+        // is rolled back, and is revised to 11. Input 1 stays speculative,
+        // so input 10 cannot commit behind it.
+        let one = running.source(src).push_speculative(Value::Int(1));
+        running.source(src).push(Value::Int(10));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !running.sink(sink).records().iter().any(|r| r.event.payload == Value::Int(11)) {
+            assert!(Instant::now() < deadline, "relay {relay}: the revision never arrived");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(running.sink(sink).final_count(), 0);
+
+        let sender = OperatorId::new(0);
+        running.crash(sender);
+        delay_one.store(false, Ordering::SeqCst);
+        running.recover(sender);
+        running.source(src).finalize(one, 0);
+        assert!(
+            running.sink(sink).wait_final(2, Duration::from_secs(10)),
+            "relay {relay}: only {} of 2 final after the sender's restart",
+            running.sink(sink).final_count()
+        );
+        let mut finals: Vec<i64> = running
+            .sink(sink)
+            .final_events_by_id()
+            .iter()
+            .filter_map(|e| e.payload.as_i64())
+            .collect();
+        finals.sort_unstable();
+        assert_eq!(finals, vec![1, 11], "relay {relay}");
+        running.shutdown();
+    }
 }
